@@ -116,19 +116,19 @@ def product_count_J(
         return products(right).get(lam, 0)
     lhs = products(left)
     rhs = products(right)
-    total = 0
-    for v, c in rhs.items():
-        if v == 0:
-            continue
-        total += c * lhs.get(lam * pow(v, -1, p) % p, 0)
     if lam == 0:
         # zero products: some factor hit 0 on either side
-        total = sum(
+        return sum(
             c * rc
             for v, c in lhs.items()
             for w, rc in rhs.items()
             if v * w % p == 0
         )
+    total = 0
+    for v, c in rhs.items():
+        if v == 0:
+            continue
+        total += c * lhs.get(lam * pow(v, -1, p) % p, 0)
     return total
 
 
@@ -185,7 +185,6 @@ def spaced_partition(p: int, S, kappa: float) -> SpacedPartition:
     size = len(S)
     undersized = size < 16 * p ** (2 * kappa)
     U = math.sqrt(p) / 3
-    xi = math.isqrt(p)
     need_d = math.sqrt(size)
     remaining = set(S)
     d_sets = []

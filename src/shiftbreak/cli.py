@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import math
 import random
@@ -105,8 +104,8 @@ def run_recover(args) -> list[dict]:
     policy = _policy_from(args)
     rng = random.Random(args.seed)
     rows = []
-    started = time.perf_counter()
     for trial in range(args.trials):
+        started = time.perf_counter()
         if args.s is not None:
             s = args.s
         else:
@@ -129,7 +128,6 @@ def run_identity(args) -> list[dict]:
     policy = it.HPolicy(
         mode=mode,
         epsilon=args.epsilon if args.epsilon is not None else 0.05,
-        c0=args.c0 if args.c0 is not None else 1.0,
         cap=args.window_cap,
     )
     rng = random.Random(args.seed)
@@ -333,7 +331,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--algorithm")
         sp.add_argument("--algorithms", nargs="*")
         sp.add_argument("--epsilon", type=float)
-        sp.add_argument("--c0", type=float)
         sp.add_argument("--window-cap", dest="window_cap", type=int)
         sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--trials", type=int, default=1)

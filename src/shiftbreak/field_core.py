@@ -2,7 +2,8 @@
 
 Everything here is pure and immutable after construction.  The index table is
 a dense array and is only built for moduli up to 2^24; larger moduli fail
-loudly instead of switching algorithms silently.
+loudly instead of switching algorithms silently.  The dense power table is
+likewise O(p) and serves only the routines that enumerate the whole field.
 """
 
 from __future__ import annotations
@@ -173,5 +174,10 @@ def least_nonresidue(ctx: PrimeContext, ell: int) -> int:
 
 @functools.lru_cache(maxsize=128)
 def power_table(p: int, e: int) -> tuple[int, ...]:
-    """Dense x -> x^e mod p for x in [0, p); shared hot-path cache."""
+    """Dense x -> x^e mod p for x in [0, p).
+
+    O(p) time and memory: for the full-field enumerations only (the large-e
+    scan under SCAN_CAP, longest_coset_run and exact_unknown_window).
+    Recovery on a candidate set computes (t + x)^e with pow.
+    """
     return tuple(pow(x, e, p) for x in range(p))

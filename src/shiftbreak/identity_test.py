@@ -27,7 +27,6 @@ DISTINCT = "distinct"
 class HPolicy:
     mode: str = "exact"  # exact | theoretical
     epsilon: float = 0.05
-    c0: float = 1.0
     cap: int | None = None  # default p-1 at use sites
 
     def __post_init__(self):

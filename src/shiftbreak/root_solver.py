@@ -7,7 +7,6 @@ answers.  All returned solution sets are sorted ascending and re-verified.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 

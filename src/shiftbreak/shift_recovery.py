@@ -22,7 +22,6 @@ from .field_core import (
     PrimeContext,
     mod_inv,
     power_table,
-    subgroup_elements,
 )
 from .oracle import ShiftOracle
 from .root_solver import (
@@ -160,11 +159,9 @@ def collision_stat_r(
     ctx: PrimeContext, params: ExponentParams, S, x: int
 ) -> int:
     """Max multiplicity of the pair ((t+x)^e, (t+zeta*x)^e) over t in S."""
-    p = ctx.p
-    zeta = _zeta(ctx)
-    tab = power_table(p, params.e)
-    zx = zeta * x % p
-    keys = [tab[(t + x) % p] * p + tab[(t + zx) % p] for t in S]
+    p, e = ctx.p, params.e
+    zx = _zeta(ctx) * x % p
+    keys = [pow(t + x, e, p) * p + pow(t + zx, e, p) for t in S]
     return max(collections.Counter(keys).values()) if keys else 0
 
 
@@ -176,9 +173,8 @@ def collision_stat_R(
     Equivalent to sum of c*(c-1) over fibers of t -> (x+t)^e, excluding the
     zero fiber (pairs with x+s2 = 0 are excluded, and x+s1 = 0 gives ratio 0).
     """
-    p = ctx.p
-    tab = power_table(p, params.e)
-    counts = collections.Counter(tab[(t + x) % p] for t in S)
+    p, e = ctx.p, params.e
+    counts = collections.Counter(pow(t + x, e, p) for t in S)
     return sum(c * (c - 1) for v, c in counts.items() if v != 0)
 
 
@@ -195,7 +191,7 @@ def narrow_candidates(
     while no probe certifies strict shrinkage.
     """
     ctx, params = oracle.ctx, oracle.params
-    p = ctx.p
+    p, e = ctx.p, params.e
     cap = _cap(policy, p)
     members = S.members
     size = len(members)
@@ -203,19 +199,6 @@ def narrow_candidates(
     stat_fn = collision_stat_r if stat == "r" else collision_stat_R
     certify = size if stat == "r" else size * (size - 1)
     zeta = _zeta(ctx)
-    # e = p-1 has only the fibers {0} and F_p^*, so the r statistic reduces
-    # to membership counts; same values as the generic path, O(1) per probe
-    fast = stat == "r" and params.e == p - 1 and size >= 1
-    member_set = set(members) if fast else None
-
-    def fast_r(x: int) -> int:
-        if x == 0:
-            a = 1 if 0 in member_set else 0
-            return max(size - a, a)
-        a = 1 if (-x) % p in member_set else 0
-        b = 1 if (-zeta * x) % p in member_set else 0
-        return max(size - a - b, a, b)
-
     scanned = 0
     while True:
         best_val, best_x = None, None
@@ -224,7 +207,7 @@ def narrow_candidates(
                 continue
             if stat == "r" and (zeta * x % p) in oracle.forbidden:
                 continue
-            v = fast_r(x) if fast else stat_fn(ctx, params, members, x)
+            v = stat_fn(ctx, params, members, x)
             if best_val is None or v < best_val:
                 best_val, best_x = v, x
                 if v == 0 or (stat == "r" and v == 1):
@@ -235,7 +218,6 @@ def narrow_candidates(
         if h >= cap:
             raise Stalled(f"window cap {cap} reached without shrinkage")
         h = min(h * policy.stall_factor, cap)
-    tab = power_table(p, params.e)
     if stat == "r":
         a1 = oracle.query(best_x)
         a2 = oracle.query(zeta * best_x % p)
@@ -243,11 +225,11 @@ def narrow_candidates(
         kept = tuple(
             t
             for t in members
-            if tab[(t + best_x) % p] == a1 and tab[(t + zx) % p] == a2
+            if pow(t + best_x, e, p) == a1 and pow(t + zx, e, p) == a2
         )
     else:
         a1 = oracle.query(best_x)
-        kept = tuple(t for t in members if tab[(t + best_x) % p] == a1)
+        kept = tuple(t for t in members if pow(t + best_x, e, p) == a1)
     if trace is not None:
         trace.rounds.append((stat, best_x, size, len(kept)))
     return CandidateSet(kept, "narrowed")
@@ -277,7 +259,13 @@ def recover_from_candidates(
     trace: RecoveryTrace | None = None,
 ) -> int:
     """Iterated narrowing, r-statistic while the set is large, then R, then
-    final resolution through x = -t queries."""
+    final resolution through x = -t queries.
+
+    At d = (p-1)/e = 1 every answer except the one at x = -s is 1, so no
+    probe rules out more than one candidate: resolve directly.
+    """
+    if oracle.params.d == 1:
+        return _resolve_small(oracle, S0.members, trace)
     p = oracle.ctx.p
     S = S0
     rounds = 0
@@ -315,15 +303,6 @@ def randomized_probe_count(p: int, e: int) -> int:
     return int(3 * math.log(p) / math.log(p / e)) + 1
 
 
-@functools.lru_cache(maxsize=64)
-def _root_buckets(p: int, e: int):
-    """value -> all y with y^e = value; the fibers of the power map."""
-    buckets: dict = {}
-    for y, v in enumerate(power_table(p, e)):
-        buckets.setdefault(v, []).append(y)
-    return {v: tuple(ys) for v, ys in buckets.items()}
-
-
 def recover_randomized(
     oracle: ShiftOracle,
     S0: CandidateSet,
@@ -333,14 +312,15 @@ def recover_randomized(
     """Up to nu seeded uniform probes, filter, then x = -t resolution.
 
     Probing stops early once a single candidate remains; the nu budget is an
-    upper bound on information-bearing probes.
+    upper bound on information-bearing probes.  At d = 1 a probe rules out
+    at most one candidate, so the x = -t resolution runs directly.
     """
     ctx, params = oracle.ctx, oracle.params
-    p = ctx.p
-    nu = randomized_probe_count(p, params.e)
+    if params.d == 1:
+        return _resolve_small(oracle, S0.members, trace)
+    p, e = ctx.p, params.e
+    nu = randomized_probe_count(p, e)
     rng = random.Random(seed)
-    tab = power_table(p, params.e)
-    buckets = _root_buckets(p, params.e)
     S = set(S0.members)
     for _ in range(nu):
         if len(S) <= 1:
@@ -349,20 +329,7 @@ def recover_randomized(
         if x in oracle.forbidden:
             continue
         a = oracle.query(x)
-        fiber = buckets.get(a, ())
-        complement = p - len(fiber)
-        if len(fiber) <= len(S):
-            S &= {(y - x) % p for y in fiber}
-        elif complement < len(S):
-            # cheaper to subtract the other fibers than to rescan S
-            S -= {
-                (y - x) % p
-                for v, ys in buckets.items()
-                if v != a
-                for y in ys
-            }
-        else:
-            S = {t for t in S if tab[(t + x) % p] == a}
+        S = {t for t in S if pow(t + x, e, p) == a}
         if trace is not None:
             trace.rounds.append(("random", x, None, len(S)))
     return _resolve_small(oracle, sorted(S), trace)
@@ -371,17 +338,6 @@ def recover_randomized(
 def large_e_call_count(p: int, e: int) -> int:
     """m = floor(ln p * ln e / (2 ln(p-1))) + 1 (natural logs)."""
     return int(math.log(p) * math.log(e) / (2 * math.log(p - 1))) + 1
-
-
-def shkvyu_admissible_m(p: int, e: int) -> int | None:
-    """First m in 3..8 with p >= (2m * floor(e^(1/(2m+1))) + 2m + 2) * e."""
-    for m in range(3, 9):
-        root = int(round(e ** (1.0 / (2 * m + 1))))
-        while root**(2 * m + 1) > e:
-            root -= 1
-        if p >= (2 * m * root + 2 * m + 2) * e:
-            return m
-    return None
 
 
 def _scan_candidates(

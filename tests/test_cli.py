@@ -3,8 +3,6 @@ import json
 import subprocess
 import sys
 
-import pytest
-
 from shiftbreak import cli
 
 
@@ -54,6 +52,18 @@ def test_recover_random_secret_seeded():
     for row in rows:
         assert row["recovered"] == row["s"]
     assert run_main(argv)[1] == out
+
+
+def test_recover_timing_is_per_trial(monkeypatch):
+    # each trial reads the clock once at its start and once at its end
+    ticks = iter([0.0, 0.5, 10.0, 10.25, 20.0, 21.0])
+    monkeypatch.setattr("shiftbreak.cli.time.perf_counter", lambda: next(ticks))
+    code, out = run_main(
+        ["recover", "--p", "13", "--e", "3", "--seed", "1", "--trials", "3", "--timing"]
+    )
+    assert code == 0
+    rows = [json.loads(line) for line in out.strip().splitlines()]
+    assert [row["wall_time"] for row in rows] == [0.5, 0.25, 1.0]
 
 
 def test_identity_known_t():

@@ -1,3 +1,6 @@
+import hashlib
+import random
+
 import pytest
 
 from shiftbreak import field_core as fc
@@ -96,8 +99,6 @@ def test_collision_stat_R_examples():
 
 
 def test_collision_stat_R_brute_force():
-    import random
-
     rng = random.Random(5)
     for p in (13, 29, 61):
         ctx = fc.make_context(p)
@@ -226,3 +227,102 @@ def test_probe_policy_validation():
         sr.ProbePolicy(epsilon=0.7)
     with pytest.raises(ValueError):
         sr.ProbePolicy(stall_factor=1)
+
+
+def _recover(algorithm, o, seed):
+    if algorithm == "zero_call_narrow":
+        return sr.recover_zero_call_narrow(o)
+    if algorithm == "smooth_narrow":
+        return sr.recover_smooth_narrow(o)
+    if algorithm == "large_e":
+        return sr.recover_large_e(o)
+    S0 = sr.initial_candidates_zero_call(o, full_witness_set(o.ctx, o.params))
+    return sr.recover_randomized(o, S0, seed)
+
+
+def _calls_per_shift(algorithm, p, e):
+    """Recover every shift s (randomized seed s + 1); the oracle calls of each."""
+    calls = []
+    for s in range(p):
+        o = make(p, e, s)
+        assert _recover(algorithm, o, s + 1) == s, (algorithm, p, e, s)
+        calls.append(call_count(o))
+    return calls
+
+
+CANDIDATE_SET_ALGORITHMS = ("zero_call_narrow", "smooth_narrow", "randomized")
+
+
+@pytest.fixture
+def no_power_table(monkeypatch):
+    """Recovery on a candidate set must never build an O(p) table."""
+
+    def refuse(p, e):
+        raise AssertionError(f"power_table({p}, {e}) built during recovery")
+
+    monkeypatch.setattr(sr, "power_table", refuse)
+
+
+def test_candidate_set_recovery_builds_no_power_table(no_power_table):
+    for p in (13, 29, 61, 101):
+        for e in divisors(p - 1):
+            for algorithm in CANDIDATE_SET_ALGORITHMS:
+                _calls_per_shift(algorithm, p, e)
+
+
+@pytest.mark.parametrize(
+    "p, exponents",
+    [
+        (1000000009, (2, 4, 504, 1308)),
+        (1000000000177, (2, 3, 12, 48)),
+        (2**61 - 1, (3, 150, 1001)),
+    ],
+)
+def test_planted_shifts_at_large_p(no_power_table, p, exponents):
+    rng = random.Random(p)
+    ctx = fc.make_context(p)
+    for e in exponents:
+        params = fc.make_params(ctx, e)
+        for _ in range(3):
+            s = rng.randrange(p)
+            for algorithm in CANDIDATE_SET_ALGORITHMS:
+                o = new_oracle(ctx, params, s)
+                got = _recover(algorithm, o, rng.randrange(2**32))
+                assert got == s, (algorithm, p, e, s)
+
+
+# Oracle calls of the table-based implementation these algorithms replaced,
+# over s = 0..p-1 with randomized seed s + 1: the first 16 hex digits of the
+# sha256 of repr(per-shift calls for each e with d = (p-1)/e >= 2, ascending),
+# and the total calls over all shifts at d = 1.
+TABLE_ERA_CALLS = {
+    ("zero_call_narrow", 13): ("ea132bda2a3c1d65", 102),
+    ("zero_call_narrow", 29): ("d252e680627c3349", 500),
+    ("zero_call_narrow", 61): ("91dd207f6f93122e", 2092),
+    ("smooth_narrow", 13): ("63c293c7a2091a16", 169),
+    ("smooth_narrow", 29): ("020a2a0a38dfd062", 841),
+    ("smooth_narrow", 61): ("0a722933ee0ec733", 3721),
+    ("randomized", 13): ("f1ece7bd81839a9a", 201),
+    ("randomized", 29): ("0befff6bff0227a0", 635),
+    ("randomized", 61): ("7f7f1c2557c1aa7b", 3810),
+    ("large_e", 13): ("ea132bda2a3c1d65", 94),
+    ("large_e", 29): ("d252e680627c3349", 450),
+    ("large_e", 61): ("91dd207f6f93122e", 1941),
+}
+
+
+@pytest.mark.parametrize("algorithm, p", sorted(TABLE_ERA_CALLS))
+def test_oracle_calls_match_table_era(algorithm, p):
+    digest, d1_total = TABLE_ERA_CALLS[algorithm, p]
+    per_e = [_calls_per_shift(algorithm, p, e) for e in divisors(p - 1)[:-1]]
+    assert hashlib.sha256(repr(per_e).encode()).hexdigest()[:16] == digest
+    assert sum(_calls_per_shift(algorithm, p, p - 1)) <= d1_total
+
+
+def test_d1_resolves_candidates_by_x_minus_t():
+    # e = p-1: S_0 = {1..p-1} (or {0}), resolved in ascending order by x = -t
+    # queries; the last candidate is free
+    for p in (13, 29, 61):
+        for algorithm in ("zero_call_narrow", "randomized"):
+            calls = _calls_per_shift(algorithm, p, p - 1)
+            assert calls == [1] + [1 + min(s, p - 2) for s in range(1, p)]
