@@ -248,14 +248,20 @@ def candidates_from_consecutive_powers(
     witnesses: WitnessSet,
     answers,
 ) -> tuple[int, ...]:
-    """Exact solution set of (x+j)^e = A_j for j = 0..n.
+    """Exact solution set of (x+j)^e = A_j for j = 0..n, sorted ascending.
 
-    Pigeonhole on indices mod n: some pair j1 < j2 has a quotient y with
-    n | ind y, so trying every pair and solving y^e = A_j2/A_j1 under the
-    index restriction finds every solution.  Candidates are re-verified.
+    Every solution is an e-th root of A_0, so the set is the e-element coset
+    of those roots filtered against all n+1 answers: one root extraction and
+    e checks.  The paper's pigeonhole on indices mod n (some pair j1 < j2
+    has a quotient y with n | ind y) finds the same set through n(n+1)/2
+    restricted descents (`roots_with_index_divisibility`), which is no
+    cheaper on any cell measured, from p = 101 to 2^61 - 1.  The witnesses
+    fix n and must cover every prime of e.
     """
     p = ctx.p
     n = witnesses.n
+    if not witnesses.covers(params.e_factors):
+        raise IncompleteWitnesses("missing a prime of e")
     answers = [a % p for a in answers]
     if len(answers) != n + 1:
         raise LengthMismatch(f"expected {n + 1} answers, got {len(answers)}")
@@ -269,14 +275,5 @@ def candidates_from_consecutive_powers(
         if aj == 0:
             x = (-j) % p
             return (x,) if verifies(x) else ()
-    cands = set()
-    for j1 in range(n + 1):
-        inv_a1 = pow(answers[j1], -1, p)
-        for j2 in range(j1 + 1, n + 1):
-            ratio = answers[j2] * inv_a1 % p
-            for y in roots_with_index_divisibility(ctx, params, witnesses, ratio):
-                if y == 1:
-                    continue  # identical shifted values; covered by another pair
-                x = ((j2 - j1) * pow(y - 1, -1, p) - j1) % p
-                cands.add(x)
-    return tuple(sorted(x for x in cands if verifies(x)))
+    roots = all_eth_roots(ctx, params, answers[0], full_witness_set(ctx, params))
+    return tuple(x for x in roots if verifies(x))

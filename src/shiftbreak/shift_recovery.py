@@ -85,21 +85,22 @@ def interpolation_recover(oracle: ShiftOracle) -> int:
 def _interp_weights(p: int, e: int) -> tuple[int, ...]:
     """Weights w_i with sum A_i * w_i = coefficient of X^(e-1), nodes x_i = i.
 
-    For e = 1 the coefficient of X^0 is the value at 0, so w = (1, 0).
+    w_i = -(e(e+1)/2 - i) / prod_{j != i} (i - j), and the product is
+    (-1)^(e-i) * i! * (e-i)!, so factorials and one modular inversion give
+    every weight in O(e); e < p keeps the factorials invertible.
     """
-    if e == 1:
-        return (1, 0)
-    nodes = list(range(e + 1))
-    total = sum(nodes)
-    weights = []
-    for i in nodes:
-        denom = 1
-        for j in nodes:
-            if j != i:
-                denom = denom * (i - j) % p
-        num = (-(total - i)) % p  # coefficient of X^(e-1) in prod_{j!=i}(X - j)
-        weights.append(num * pow(denom, -1, p) % p)
-    return tuple(weights)
+    fact = [1] * (e + 1)
+    for k in range(1, e + 1):
+        fact[k] = fact[k - 1] * k % p
+    inv_fact = [1] * (e + 1)
+    inv_fact[e] = pow(fact[e], -1, p)
+    for k in range(e, 0, -1):
+        inv_fact[k - 1] = inv_fact[k] * k % p
+    total = e * (e + 1) // 2
+    return tuple(
+        (-1) ** (e - i + 1) * (total - i) * inv_fact[i] * inv_fact[e - i] % p
+        for i in range(e + 1)
+    )
 
 
 def initial_candidates_zero_call(
@@ -236,19 +237,27 @@ def narrow_candidates(
 
 
 def _resolve_small(oracle: ShiftOracle, S, trace: RecoveryTrace | None) -> int:
-    """Query x = -t until the oracle returns 0; the last candidate is free."""
+    """Query x = -t in ascending order until the oracle returns 0.
+
+    A candidate is returned unqueried only once every other candidate has
+    been ruled out by a query: with no forbidden input that is the last one.
+    A candidate whose probe -t is forbidden cannot be tested, so two such
+    candidates left over stall.
+    """
     p = oracle.ctx.p
-    members = sorted(S)
-    for i, t in enumerate(members):
-        if i == len(members) - 1:
-            return t
-        x = (-t) % p
-        if x in oracle.forbidden:
-            continue
+    testable = sorted(t for t in S if (-t) % p not in oracle.forbidden)
+    unqueried = [t for t in S if (-t) % p in oracle.forbidden]
+    if not unqueried and testable:
+        unqueried.append(testable.pop())  # the last candidate is free
+    for t in testable:
         if trace is not None:
             trace.final_queries += 1
-        if oracle.query(x) == 0:
+        if oracle.query((-t) % p) == 0:
             return t
+    if len(unqueried) == 1:
+        return unqueried[0]
+    if unqueried:
+        raise Stalled(f"{len(unqueried)} candidates left with a forbidden probe")
     raise Stalled("no candidate matched; true shift lost upstream")
 
 

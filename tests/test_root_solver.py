@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from shiftbreak import field_core as fc
 from shiftbreak import root_solver as rs
+from shiftbreak import shift_recovery as sr
 from shiftbreak.errors import (
     BadWitness,
     IncompleteWitnesses,
@@ -183,11 +184,6 @@ def test_roots_with_index_divisibility_brute_force():
                 assert got == expect, (p, e, A, wits)
 
 
-def smooth_style_witnesses(ctx, params):
-    """gamma_ell = 0 with least nonresidues; matches full_witness_set."""
-    return rs.full_witness_set(ctx, params)
-
-
 def test_candidates_examples():
     ctx = fc.make_context(13)
     params = fc.make_params(ctx, 3)
@@ -214,48 +210,121 @@ def test_candidates_length_mismatch():
         rs.candidates_from_consecutive_powers(ctx, params, wits, (8, 8, 5))
 
 
+def test_candidates_require_witnesses():
+    ctx = fc.make_context(13)
+    params = fc.make_params(ctx, 6)
+    # checked before the zero-answer return, for n = 1 and n = 4
+    for wits in (rs.WitnessSet(((2, 2, 0),)), rs.WitnessSet(((2, 2, 2),))):
+        for first in (0, 1):
+            answers = (first,) + (1,) * wits.n
+            with pytest.raises(IncompleteWitnesses):
+                rs.candidates_from_consecutive_powers(ctx, params, wits, answers)
+
+
+def gamma_one_witnesses(ctx, params):
+    """gamma_ell = 1 with the least ell^2-th power nonresidue among ell-th
+    powers, or no witness where ell has multiplicity 1 in p-1."""
+    p = ctx.p
+    full = {ell: alpha for ell, alpha in ctx.group_order_factors}
+    entries = []
+    for ell, _ in params.e_factors:
+        if full[ell] > 1:
+            w = next(
+                x
+                for x in range(2, p)
+                if pow(x, (p - 1) // ell**2, p) != 1
+                and pow(x, (p - 1) // ell, p) == 1
+            )
+        else:
+            w = 1
+        entries.append((ell, w, 1))
+    return rs.WitnessSet(tuple(entries))
+
+
 def test_candidates_match_brute_force_planted():
+    # planted answers must keep their shift; spliced and random e-th powers
+    # come from no shift.  n ranges from 1 (e > n(n+1)/2, where the paper
+    # solves answer pairs) to n >= e.
+    rng = random.Random(5)
     for p in (13, 29, 37, 61):
         ctx = fc.make_context(p)
-        full = {ell: alpha for ell, alpha in ctx.group_order_factors}
         for e in divisors(p - 1):
-            if e == 1 or e == p - 1:
-                continue
             params = fc.make_params(ctx, e)
-            entries = []
-            for ell, _ in params.e_factors:
-                gamma = 1 if full[ell] >= 1 else 0
-                if gamma < full[ell]:
-                    w = next(
-                        x
-                        for x in range(2, p)
-                        if pow(x, (p - 1) // ell ** (gamma + 1), p) != 1
-                        and pow(x, (p - 1) // ell**gamma, p) == 1
+            for wits in (
+                gamma_one_witnesses(ctx, params),
+                sr.smooth_witnesses(ctx, params, 0.05),
+            ):
+                n = wits.n
+                if n + 1 > p:
+                    continue
+
+                def shifted(s):
+                    return [pow((s + j) % p, e, p) for j in range(n + 1)]
+
+                cases = [(s, shifted(s)) for s in range(0, p, max(1, p // 7))]
+                for _ in range(3):
+                    spliced = shifted(rng.randrange(p))
+                    spliced[-1] = shifted(rng.randrange(p))[-1]
+                    cases.append((None, spliced))
+                    random_powers = [pow(rng.randrange(p), e, p) for _ in range(n + 1)]
+                    cases.append((None, random_powers))
+                for s, answers in cases:
+                    got = rs.candidates_from_consecutive_powers(
+                        ctx, params, wits, answers
                     )
-                else:
-                    w = 1
-                entries.append((ell, w, gamma))
-            wits = rs.WitnessSet(tuple(entries))
-            n = wits.n
-            if n + 1 > p:
-                continue
-            for s in range(0, p, max(1, p // 7)):
-                answers = [pow((s + j) % p, e, p) for j in range(n + 1)]
-                got = rs.candidates_from_consecutive_powers(
-                    ctx, params, wits, answers
-                )
-                expect = tuple(
-                    sorted(
-                        x
-                        for x in range(p)
-                        if all(
-                            pow((x + j) % p, e, p) == answers[j]
-                            for j in range(n + 1)
+                    expect = tuple(
+                        sorted(
+                            x
+                            for x in range(p)
+                            if all(
+                                pow((x + j) % p, e, p) == answers[j]
+                                for j in range(n + 1)
+                            )
                         )
                     )
-                )
-                assert got == expect, (p, e, s, n)
-                assert s in got
+                    assert got == expect, (p, e, answers, wits)
+                    assert s is None or s in got
+
+
+def pigeonhole_candidates(ctx, params, wits, answers):
+    """The paper's pair descent: for every j1 < j2 solve y^e = A_j2/A_j1
+    with n | ind y, set x = (j2 - j1)/(y - 1) - j1, and keep the x that
+    satisfy every answer.  A reference for answers with no zero."""
+    p = ctx.p
+    n = wits.n
+    cands = set()
+    for j1 in range(n + 1):
+        inv_a1 = pow(answers[j1], -1, p)
+        for j2 in range(j1 + 1, n + 1):
+            ratio = answers[j2] * inv_a1 % p
+            for y in rs.roots_with_index_divisibility(ctx, params, wits, ratio):
+                if y != 1:
+                    cands.add(((j2 - j1) * pow(y - 1, -1, p) - j1) % p)
+    return tuple(
+        sorted(
+            x
+            for x in cands
+            if all(pow(x + j, params.e, p) == answers[j] for j in range(n + 1))
+        )
+    )
+
+
+def test_candidates_match_pigeonhole_at_large_p():
+    p = 2**61 - 1
+    ctx = fc.make_context(p)
+    rng = random.Random(150)
+    for e in (150, 1001):
+        params = fc.make_params(ctx, e)
+        wits = sr.smooth_witnesses(ctx, params, 0.05)
+        assert wits.n == 1
+        for _ in range(2):
+            s = rng.randrange(p)
+            planted = [pow(s, e, p), pow(s + 1, e, p)]
+            spliced = [planted[0], pow(rng.randrange(p), e, p)]
+            for answers in (planted, spliced):
+                got = rs.candidates_from_consecutive_powers(ctx, params, wits, answers)
+                assert got == pigeonhole_candidates(ctx, params, wits, answers)
+                assert answers is spliced or s in got
 
 
 @settings(max_examples=40, deadline=None)

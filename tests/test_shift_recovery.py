@@ -5,6 +5,7 @@ import pytest
 
 from shiftbreak import field_core as fc
 from shiftbreak import shift_recovery as sr
+from shiftbreak.errors import Stalled
 from shiftbreak.oracle import call_count, new_oracle
 from shiftbreak.root_solver import full_witness_set
 
@@ -39,6 +40,25 @@ def test_interpolation_exhaustive_small():
                 o = make(p, e, s)
                 assert sr.interpolation_recover(o) == s
                 assert call_count(o) == e + 1
+
+
+def _interp_weights_by_products(p, e):
+    """O(e^2) reference: w_i = -(sum of the nodes j != i) / prod_{j != i} (i - j)."""
+    nodes = range(e + 1)
+    weights = []
+    for i in nodes:
+        denom = 1
+        for j in nodes:
+            if j != i:
+                denom = denom * (i - j) % p
+        weights.append(-(sum(nodes) - i) * pow(denom, -1, p) % p)
+    return tuple(weights)
+
+
+def test_interp_weights_match_product_formula():
+    cells = [(p, e) for p in range(3, 300) if fc.is_prime(p) for e in divisors(p - 1)]
+    for p, e in cells + [(2**61 - 1, 1001)]:
+        assert sr._interp_weights(p, e) == _interp_weights_by_products(p, e), (p, e)
 
 
 def test_zero_call_candidates_examples():
@@ -326,3 +346,24 @@ def test_d1_resolves_candidates_by_x_minus_t():
         for algorithm in ("zero_call_narrow", "randomized"):
             calls = _calls_per_shift(algorithm, p, p - 1)
             assert calls == [1] + [1 + min(s, p - 2) for s in range(1, p)]
+
+
+def test_resolve_small_queries_around_a_forbidden_probe():
+    # s = 5, S_0 = (2, 5, 6); the probe x = -5 = 8 is forbidden, so 5 is
+    # returned only after x = 11 and x = 7 rule out 2 and 6
+    ctx = fc.make_context(13)
+    params = fc.make_params(ctx, 3)
+    o = new_oracle(ctx, params, 5, frozenset({8}))
+    assert sr.recover_zero_call_narrow(o) == 5
+    assert call_count(o) == 3
+
+
+def test_resolve_small_stalls_on_two_untestable_candidates():
+    # probes -5 = 8 and -6 = 7 forbidden: 5 and 6 cannot be told apart
+    ctx = fc.make_context(13)
+    params = fc.make_params(ctx, 3)
+    with pytest.raises(Stalled):
+        sr.recover_zero_call_narrow(new_oracle(ctx, params, 5, frozenset({7, 8})))
+    o = new_oracle(ctx, params, 2, frozenset({7, 8}))
+    assert sr.recover_zero_call_narrow(o) == 2  # x = 11 answers 0
+    assert call_count(o) == 2
