@@ -59,9 +59,8 @@ def _policy_from(args) -> sr.ProbePolicy:
     return sr.ProbePolicy(**kwargs)
 
 
-def _run_one_recovery(p, e, s, algorithm, seed, policy):
-    ctx = fc.make_context(p)
-    params = fc.make_params(ctx, e)
+def _run_one_recovery(ctx, params, s, algorithm, seed, policy):
+    p, e = ctx.p, params.e
     oracle = new_oracle(ctx, params, s)
     trace = sr.RecoveryTrace()
     if algorithm == "interpolation":
@@ -102,6 +101,8 @@ def run_recover(args) -> list[dict]:
     if algorithm not in ALGORITHMS:
         raise ConfigError(f"unknown algorithm {algorithm!r}")
     policy = _policy_from(args)
+    ctx = fc.make_context(p)
+    params = fc.make_params(ctx, e)
     rng = random.Random(args.seed)
     rows = []
     for trial in range(args.trials):
@@ -110,7 +111,8 @@ def run_recover(args) -> list[dict]:
             s = args.s
         else:
             s = rng.randrange(p)
-        row = _run_one_recovery(p, e, s, algorithm, (args.seed or 0) + trial, policy)
+        seed = (args.seed or 0) + trial
+        row = _run_one_recovery(ctx, params, s, algorithm, seed, policy)
         row["trial"] = trial
         if args.timing:
             row["wall_time"] = round(time.perf_counter() - started, 6)
@@ -160,6 +162,20 @@ def run_identity(args) -> list[dict]:
 
 def _lab_row(lemma, cell):
     """Exact count plus the explicit-constant envelope for one grid cell."""
+    try:
+        count, predicted = _lab_count(lemma, cell)
+    except KeyError as exc:
+        key = exc.args[0]
+        raise ConfigError(f"lemma {lemma!r} needs {key!r} in every cell") from exc
+    row = {"lemma_id": lemma}
+    row.update(cell)
+    row["exact_count"] = count
+    row["predicted"] = predicted
+    row["ratio"] = (count / predicted) if predicted else None
+    return row
+
+
+def _lab_count(lemma, cell):
     if lemma == "coset_run":
         ctx = fc.make_context(cell["p"])
         count = bl.longest_coset_run(ctx, fc.make_params(ctx, cell["e"]))
@@ -200,12 +216,7 @@ def _lab_row(lemma, cell):
         predicted = None
     else:
         raise ConfigError(f"unknown lemma {lemma!r}")
-    row = {"lemma_id": lemma}
-    row.update(cell)
-    row["exact_count"] = count
-    row["predicted"] = predicted
-    row["ratio"] = (count / predicted) if predicted else None
-    return row
+    return count, predicted
 
 
 def run_lab(args) -> list[dict]:
@@ -239,8 +250,8 @@ def _load_grid(path):
             grid = json.load(f)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read grid file {path}: {exc}") from exc
-    if not isinstance(grid, list):
-        raise ConfigError("grid file must hold a JSON list of cells")
+    if not isinstance(grid, list) or not all(isinstance(c, dict) for c in grid):
+        raise ConfigError("grid file must hold a JSON list of cells (objects)")
     return grid
 
 
@@ -259,7 +270,11 @@ def run_bench(args) -> list[dict]:
     policy = _policy_from(args)
     rows = []
     for cell in cells:
+        if "p" not in cell or "e" not in cell:
+            raise ConfigError(f"bench needs 'p' and 'e' in every cell, not {cell}")
         p, e = cell["p"], cell["e"]
+        ctx = fc.make_context(p)
+        params = fc.make_params(ctx, e)
         for algorithm in algorithms:
             rng = random.Random((args.seed or 0) ^ (p * 1000003 + e))
             calls = []
@@ -267,7 +282,7 @@ def run_bench(args) -> list[dict]:
             for trial in range(args.trials):
                 s = rng.randrange(p)
                 row = _run_one_recovery(
-                    p, e, s, algorithm, (args.seed or 0) + trial, policy
+                    ctx, params, s, algorithm, (args.seed or 0) + trial, policy
                 )
                 calls.append(row["oracle_calls"])
             out = {

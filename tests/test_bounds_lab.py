@@ -10,6 +10,7 @@ from shiftbreak.errors import (
     DegeneratePair,
     DegenerateShift,
     PrincipalCharacter,
+    TooLarge,
     TooSmall,
 )
 
@@ -306,18 +307,45 @@ def naive_psi(x, y):
     return sum(1 for n in range(1, x + 1) if smooth(n))
 
 
+def sieve_psi(x, y):
+    """Reference: divide every n <= x by each prime up to y, in a list."""
+    if x < 1:
+        return 0
+    rest = list(range(x + 1))  # rest[n]: part of n with prime factors > y
+    for q in range(2, min(y, x) + 1):
+        if rest[q] != q:
+            continue  # q composite: some smaller prime already divided it
+        for multiple in range(q, x + 1, q):
+            while rest[multiple] % q == 0:
+                rest[multiple] //= q
+    return sum(1 for n in range(1, x + 1) if rest[n] == 1)
+
+
 def test_psi_anchors():
     assert bl.psi_count(10, 2) == 4
     assert bl.psi_count(100, 3) == 20
     for x in (1, 7, 50):
         assert bl.psi_count(x, x) == x
     assert bl.psi_count(0, 5) == 0
+    assert bl.psi_count(10**8, 30) == 88415  # at LOOP_CAP, within the memory cap
+    with pytest.raises(TooLarge):
+        bl.psi_count(bl.LOOP_CAP + 1, 30)
 
 
 def test_psi_matches_naive():
     for x in (1, 10, 60, 200):
         for y in (2, 3, 5, 13):
             assert bl.psi_count(x, y) == naive_psi(x, y)
+
+
+def test_psi_matches_sieve_random():
+    rng = random.Random(1949)
+    for _ in range(60):
+        x, y = rng.randrange(20001), rng.randrange(20001)
+        assert bl.psi_count(x, y) == sieve_psi(x, y), (x, y)
+    for x in range(40):
+        for y in range(42):
+            assert bl.psi_count(x, y) == sieve_psi(x, y), (x, y)
 
 
 def test_smooth_subgroup_order():

@@ -3,6 +3,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from shiftbreak import cli
 
 
@@ -170,6 +172,42 @@ def test_exit_codes():
     assert code == 2
     code, _ = run_main(["lab", "--lemma", "unheard_of", "--p", "13"])
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "lemma, flags, key",
+    [("psi", [], "x"), ("hyperbola", ["--e", "3"], "u"), ("coset_run", [], "e")],
+)
+def test_lab_missing_cell_key_is_config_error(capsys, lemma, flags, key):
+    code, out = run_main(["lab", "--lemma", lemma, "--p", "13", *flags])
+    assert code == 2
+    assert out == ""
+    assert repr(key) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, grid",
+    [(["lab", "--lemma", "psi"], [5]), (["bench"], [5]), (["bench"], [{"p": 13}])],
+)
+def test_malformed_grid_is_config_error(tmp_path, argv, grid):
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps(grid))
+    assert run_main(argv + ["--grid", str(path)]) == (2, "")
+
+
+def test_bench_builds_context_once_per_cell(monkeypatch):
+    calls = []
+    make_context = cli.fc.make_context
+
+    def counting(p):
+        calls.append(p)
+        return make_context(p)
+
+    monkeypatch.setattr(cli.fc, "make_context", counting)
+    code, out = run_main(["bench", "--p", "211", "--e", "30", "--trials", "5"])
+    assert code == 0
+    assert len(out.splitlines()) == 3  # one row per default algorithm
+    assert calls == [211]
 
 
 def test_console_script_installed():

@@ -1,3 +1,6 @@
+import random
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,6 +25,24 @@ def brute_least_primitive_root(p):
 
 def divisors(n):
     return [d for d in range(1, n + 1) if n % d == 0]
+
+
+def trial_division_factorize(n):
+    """Reference: trial division by 2 and every odd number up to sqrt(n)."""
+    out = []
+    m = n
+    q = 2
+    while q * q <= m:
+        if m % q == 0:
+            k = 0
+            while m % q == 0:
+                m //= q
+                k += 1
+            out.append((q, k))
+        q += 1 if q == 2 else 2
+    if m > 1:
+        out.append((m, 1))
+    return tuple(out)
 
 
 def test_make_context_13():
@@ -60,6 +81,56 @@ def test_factorization_multiplies_back():
         for ell, k in ctx.group_order_factors:
             prod *= ell**k
         assert prod == p - 1
+
+
+def test_factorize_matches_trial_division_below_1e5():
+    for n in range(1, 10**5):
+        assert fc.factorize(n) == trial_division_factorize(n), n
+
+
+def test_factorize_matches_trial_division_random_below_1e12():
+    rng = random.Random(20110)
+    for _ in range(25):
+        n = rng.randrange(10**5, 10**12)
+        assert fc.factorize(n) == trial_division_factorize(n), n
+
+
+def test_factorize_prime_powers_and_products_above_trial_bound():
+    # cofactors that trial division leaves to rho: squares, cubes and
+    # products of equal and unequal primes just above 2^10, 2^20 and 2^31
+    for q, r in ((1031, 1033), (1048573, 1048583), (2147483647, 2147483659)):
+        assert fc.factorize(q * q) == ((q, 2),)
+        assert fc.factorize(q**3) == ((q, 3),)
+        assert fc.factorize(2 * q * r) == ((2, 1), (q, 1), (r, 1))
+        assert fc.factorize(q * q * r) == ((q, 2), (r, 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=1, max_value=2**61 - 1))
+def test_factorize_property_below_2_61(n):
+    factors = fc.factorize(n)
+    assert list(factors) == sorted(factors)
+    assert len({q for q, _ in factors}) == len(factors)
+    prod = 1
+    for q, k in factors:
+        assert fc.is_prime(q) and k >= 1
+        prod *= q**k
+    assert prod == n
+
+
+@pytest.mark.parametrize(
+    "p, factors",
+    [
+        (1152921504606843299, ((2, 1), (576460752303421649, 1))),  # safe prime
+        (1126844094631811327, ((2, 1), (527608327, 1), (1067879369, 1))),
+    ],
+)
+def test_make_context_60_bit(p, factors):
+    started = time.perf_counter()
+    ctx = fc.make_context(p)
+    assert time.perf_counter() - started < 2.0
+    assert ctx.group_order_factors == factors
+    assert all(pow(ctx.g, (p - 1) // ell, p) != 1 for ell, _ in factors)
 
 
 def test_mod_pow_examples():
