@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import random
@@ -50,11 +51,47 @@ ALGORITHMS = (
 )
 
 
+# The integer keys each lemma reads from a grid cell (`subgroup_shift`'s
+# `shifts` holds [a, b] integer pairs).  `product_set` also reads an optional
+# integer `t`.
+LEMMA_KEYS = {
+    "coset_run": ("p", "e"),
+    "hyperbola": ("p", "u", "v", "H"),
+    "energy": ("p", "a", "H"),
+    "subgroup_shift": ("p", "e", "shifts"),
+    "product_J": ("p", "nu", "lam", "s", "h"),
+    "product_set": ("p", "nu", "s", "h"),
+    "psi": ("x", "y"),
+    "smooth_subgroup": ("p", "y"),
+}
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _check_cell(cell, keys, who):
+    """Raise ConfigError unless `cell` holds an integer at every key."""
+    for key in keys:
+        if key not in cell:
+            raise ConfigError(f"{who} needs {key!r} in every cell")
+        value = cell[key]
+        if key == "shifts":
+            ok = isinstance(value, list) and all(
+                isinstance(x, list) and len(x) == 2 and all(map(_is_int, x))
+                for x in value
+            )
+        else:
+            ok = _is_int(value)
+        if not ok:
+            raise ConfigError(f"{who} needs integers at {key!r}, not {value!r}")
+
+
 def _policy_from(args) -> sr.ProbePolicy:
     kwargs = {}
-    if getattr(args, "epsilon", None) is not None:
+    if args.epsilon is not None:
         kwargs["epsilon"] = args.epsilon
-    if getattr(args, "window_cap", None) is not None:
+    if args.window_cap is not None:
         kwargs["window_cap"] = args.window_cap
     return sr.ProbePolicy(**kwargs)
 
@@ -162,11 +199,8 @@ def run_identity(args) -> list[dict]:
 
 def _lab_row(lemma, cell):
     """Exact count plus the explicit-constant envelope for one grid cell."""
-    try:
-        count, predicted = _lab_count(lemma, cell)
-    except KeyError as exc:
-        key = exc.args[0]
-        raise ConfigError(f"lemma {lemma!r} needs {key!r} in every cell") from exc
+    _check_cell(cell, LEMMA_KEYS.get(lemma, ()), f"lemma {lemma!r}")
+    count, predicted = _lab_count(lemma, cell)
     row = {"lemma_id": lemma}
     row.update(cell)
     row["exact_count"] = count
@@ -201,6 +235,8 @@ def _lab_count(lemma, cell):
         count = bl.product_count_J(ctx, cell["nu"], cell["lam"], cell["s"], cell["h"])
         predicted = None  # existential constant; ratio reported empirically
     elif lemma == "product_set":
+        if cell.get("t") is not None:
+            _check_cell(cell, ("t",), f"lemma {lemma!r}")
         ctx = fc.make_context(cell["p"])
         count = bl.product_set_size(
             ctx, cell["nu"], cell["s"], cell.get("t"), cell["h"]
@@ -270,8 +306,7 @@ def run_bench(args) -> list[dict]:
     policy = _policy_from(args)
     rows = []
     for cell in cells:
-        if "p" not in cell or "e" not in cell:
-            raise ConfigError(f"bench needs 'p' and 'e' in every cell, not {cell}")
+        _check_cell(cell, ("p", "e"), "bench")
         p, e = cell["p"], cell["e"]
         ctx = fc.make_context(p)
         params = fc.make_params(ctx, e)
@@ -333,64 +368,114 @@ def _emit(rows, fmt, out):
             out.write("  ".join(v.ljust(w) for v, w in zip(c, widths)).rstrip() + "\n")
 
 
+# Every flag a subcommand can take, as keyword arguments of `add_argument`.
+FLAGS = {
+    "p": {"type": int},
+    "e": {"type": int},
+    "s": {"type": int},
+    "t": {"type": int},
+    "algorithm": {},
+    "algorithms": {"nargs": "*"},
+    "epsilon": {"type": float},
+    "window-cap": {"type": int},
+    "seed": {"type": int, "default": 0},
+    "trials": {"type": int, "default": 1},
+    "output": {"choices": ("json", "csv", "table"), "default": "json"},
+    "grid": {},
+    "mode": {"choices": ("exact", "theoretical")},
+    "lemma": {},
+    "timing": {"action": "store_true", "default": False},
+}
+
+# Each subcommand's runner and exactly the flags it reads.
+SUBCOMMANDS = {
+    "recover": (
+        run_recover,
+        ("p", "e", "s", "algorithm", "epsilon", "window-cap", "seed", "trials",
+         "timing", "output"),
+    ),
+    "identity": (
+        run_identity,
+        ("p", "e", "s", "t", "mode", "epsilon", "window-cap", "seed", "output"),
+    ),
+    "lab": (run_lab, ("lemma", "grid", "p", "e", "output")),
+    "bench": (
+        run_bench,
+        ("grid", "p", "e", "algorithms", "trials", "seed", "epsilon",
+         "window-cap", "timing", "output"),
+    ),
+}
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="shiftbreak")
+    """The `shiftbreak` parser, built once and shared by every `main` call.
+
+    It must not be changed after it is built: config defaults go into each
+    call's own namespace, never into the parser.  Abbreviated flags are off,
+    so that `bench --algorithm` is not read as `--algorithms`.
+    """
+    parser = argparse.ArgumentParser(prog="shiftbreak", allow_abbrev=False)
     parser.add_argument("--config", help="JSON file of default flag values")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(sp):
-        sp.add_argument("--p", type=int)
-        sp.add_argument("--e", type=int)
-        sp.add_argument("--s", type=int)
-        sp.add_argument("--t", type=int)
-        sp.add_argument("--algorithm")
-        sp.add_argument("--algorithms", nargs="*")
-        sp.add_argument("--epsilon", type=float)
-        sp.add_argument("--window-cap", dest="window_cap", type=int)
-        sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--trials", type=int, default=1)
-        sp.add_argument("--output", choices=("json", "csv", "table"), default="json")
-        sp.add_argument("--grid")
-        sp.add_argument("--mode", choices=("exact", "theoretical"))
-        sp.add_argument("--lemma")
-        sp.add_argument("--timing", action="store_true")
-
-    for name in ("recover", "identity", "lab", "bench"):
-        common(sub.add_parser(name))
+    for name, (_, flags) in SUBCOMMANDS.items():
+        sp = sub.add_parser(name, allow_abbrev=False)
+        for flag in flags:
+            sp.add_argument(f"--{flag}", **FLAGS[flag])
     return parser
 
 
-def _apply_config_defaults(args, parser):
+def _config_value(flag, value):
+    """`value` as `--flag` would have parsed it; ConfigError if it cannot be."""
+    spec = FLAGS[flag]
+    kind = spec.get("type", str)
+    if value is None and spec.get("default") is None:
+        return None
+    if spec.get("action") == "store_true":
+        ok = isinstance(value, bool)
+    elif spec.get("nargs") == "*":
+        ok = isinstance(value, list) and all(isinstance(v, str) for v in value)
+    elif kind is float:
+        ok = _is_int(value) or isinstance(value, float)
+    elif kind is int:
+        ok = _is_int(value)
+    else:
+        ok = isinstance(value, str) and ("choices" not in spec or value in spec["choices"])
+    if not ok:
+        raise ConfigError(f"config value {value!r} is not valid for --{flag}")
+    return float(value) if kind is float else value
+
+
+def _apply_config_defaults(args, flags):
+    """Fill each of `flags` that the command line left at its default from
+    the --config file; a key that is not one of `flags` is a ConfigError."""
     if not args.config:
-        return args
+        return
     try:
         with open(args.config) as f:
             defaults = json.load(f)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
+    if not isinstance(defaults, dict):
+        raise ConfigError(f"config {args.config} must hold a JSON object")
     for key, value in defaults.items():
-        key = key.replace("-", "_")
-        if not hasattr(args, key):
-            raise ConfigError(f"unknown config key {key!r}")
-        if parser.get_default(key) == getattr(args, key):
-            setattr(args, key, value)  # flags given on the command line win
-    return args
+        flag = key.replace("_", "-")
+        if flag not in flags:
+            raise ConfigError(f"{args.command} takes no config key {key!r}")
+        value = _config_value(flag, value)
+        dest = flag.replace("-", "_")
+        if getattr(args, dest) == FLAGS[flag].get("default"):
+            setattr(args, dest, value)  # flags given on the command line win
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_CONFIG if exc.code not in (0, None) else 0
     try:
-        args = _apply_config_defaults(args, parser)
-        runner = {
-            "recover": run_recover,
-            "identity": run_identity,
-            "lab": run_lab,
-            "bench": run_bench,
-        }[args.command]
+        runner, flags = SUBCOMMANDS[args.command]
+        _apply_config_defaults(args, flags)
         rows = runner(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

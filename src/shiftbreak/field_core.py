@@ -160,10 +160,6 @@ def make_params(ctx: PrimeContext, e: int) -> ExponentParams:
     return ExponentParams(e=e, d=(ctx.p - 1) // e, e_factors=factorize(e))
 
 
-def mod_pow(a: int, k: int, ctx: PrimeContext) -> int:
-    return pow(a, k, ctx.p)
-
-
 def mod_inv(a: int, ctx: PrimeContext) -> int:
     if a % ctx.p == 0:
         raise NoInverse("zero has no inverse")

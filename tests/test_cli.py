@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 import subprocess
@@ -165,6 +166,113 @@ def test_config_file_flags_win(tmp_path):
     assert json.loads(out.strip())["s"] == 6
 
 
+def test_config_fills_every_flag_left_at_its_default(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    argv = ["recover", "--p", "13", "--e", "3"]
+    cfg.write_text(json.dumps({"trials": 3, "output": "table", "seed": 4}))
+    code, out = run_main(["--config", str(cfg), *argv])
+    assert code == 0
+    assert out == run_main([*argv, "--trials", "3", "--output", "table", "--seed", "4"])[1]
+    cfg.write_text(json.dumps({"timing": True}))
+    code, out = run_main(["--config", str(cfg), *argv])
+    assert "wall_time" in json.loads(out)
+    # the parser is shared by every call: a config must not have changed it
+    code, out = run_main(argv)
+    assert "wall_time" not in json.loads(out)  # one JSON row
+    assert out == run_main([*argv, "--seed", "0"])[1]
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        {"p": "13", "e": 3},
+        {"p": 13, "e": 3, "trials": True},
+        {"p": 13, "e": 3, "output": "xml"},
+        {"p": 13, "e": 3, "lemma": "psi"},  # a flag of another subcommand
+        {"p": 13, "e": 3, "command": "lab"},
+        [13, 3],
+    ],
+)
+def test_bad_config_is_config_error(tmp_path, config):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert run_main(["--config", str(cfg), "recover"]) == (2, "")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["recover", "--p", "13", "--e", "3", "--lemma", "psi"],
+        ["identity", "--p", "13", "--e", "3", "--trials", "3"],
+        ["lab", "--lemma", "coset_run", "--p", "13", "--e", "3", "--algorithm", "x"],
+        # not an abbreviation of bench's own --algorithms
+        ["bench", "--p", "13", "--e", "3", "--algorithm", "interpolation"],
+    ],
+)
+def test_flag_of_another_subcommand_exits_2(argv):
+    assert run_main(argv) == (2, "")
+
+
+def test_known_command_lines_exit_0(tmp_path):
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps([{"p": 1009, "u": 3, "v": 5, "H": 260}]))
+    command_lines = [
+        # one of each kind the benchmark's cli_lab workload runs
+        ["lab", "--lemma", "hyperbola", "--grid", str(grid)],
+        ["recover", "--p", "211", "--e", "30", "--seed", "5", "--trials", "5",
+         "--algorithm", "large_e"],
+        ["bench", "--p", "1009", "--e", "12", "--trials", "5", "--seed", "8",
+         "--algorithms", "interpolation", "zero_call_narrow", "randomized"],
+        ["identity", "--p", "401", "--e", "20", "--s", "7", "--seed", "3", "--t", "9"],
+        ["identity", "--p", "211", "--e", "30", "--s", "7", "--seed", "3"],
+        # the four of acceptance criterion 10
+        ["recover", "--p", "1009", "--e", "12", "--algorithm", "randomized",
+         "--seed", "42", "--trials", "5"],
+        ["bench", "--p", "211", "--e", "30", "--trials", "5", "--seed", "9"],
+        ["identity", "--p", "211", "--e", "30", "--seed", "4"],
+        ["lab", "--lemma", "coset_run", "--p", "211", "--e", "30"],
+    ]
+    for argv in command_lines:
+        code, out = run_main(argv)
+        assert code == 0, argv
+        assert out, argv
+
+
+def test_parser_built_once_per_process(monkeypatch):
+    progs = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        progs.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    cli.build_parser.cache_clear()
+    try:
+        argvs = [
+            ["recover", "--p", "13", "--e", "3", "--s", "5"],
+            ["identity", "--p", "13", "--e", "3", "--s", "4", "--t", "4"],
+            ["lab", "--lemma", "coset_run", "--p", "13", "--e", "3"],
+            ["bench", "--p", "13", "--e", "3", "--trials", "2"],
+        ]
+        for argv in (argvs * 3)[:10]:
+            assert run_main(argv)[0] == 0
+    finally:
+        cli.build_parser.cache_clear()
+    # one top-level parser and one sub-parser per subcommand, all from one build
+    assert progs == ["shiftbreak"] + [f"shiftbreak {name}" for name in cli.SUBCOMMANDS]
+
+
+def test_usage_error_and_help_leave_the_parser_unchanged():
+    argv = ["bench", "--p", "211", "--e", "30", "--trials", "3", "--seed", "2"]
+    code, out = run_main(argv)
+    assert code == 0
+    assert run_main(["bench", "--p", "211", "--e", "30", "--trials", "x"]) == (2, "")
+    code, help_text = run_main(["bench", "--help"])
+    assert code == 0 and "--algorithms" in help_text and "--lemma" not in help_text
+    assert run_main(argv) == (0, out)
+
+
 def test_exit_codes():
     code, _ = run_main(["recover", "--p", "13"])  # missing e
     assert code == 2
@@ -187,7 +295,17 @@ def test_lab_missing_cell_key_is_config_error(capsys, lemma, flags, key):
 
 @pytest.mark.parametrize(
     "argv, grid",
-    [(["lab", "--lemma", "psi"], [5]), (["bench"], [5]), (["bench"], [{"p": 13}])],
+    [
+        (["lab", "--lemma", "psi"], [5]),
+        (["bench"], [5]),
+        (["bench"], [{"p": 13}]),
+        # an integer key must hold an int, and a bool is not one
+        (["lab", "--lemma", "psi"], [{"x": "100", "y": 3}]),
+        (["lab", "--lemma", "coset_run"], [{"p": 13.0, "e": 3}]),
+        (["bench"], [{"p": 13, "e": True}]),
+        (["lab", "--lemma", "subgroup_shift"], [{"p": 13, "e": 3, "shifts": [[1, 2, 3]]}]),
+        (["lab", "--lemma", "product_set"], [{"p": 13, "nu": 2, "s": 1, "t": "2", "h": 3}]),
+    ],
 )
 def test_malformed_grid_is_config_error(tmp_path, argv, grid):
     path = tmp_path / "grid.json"
