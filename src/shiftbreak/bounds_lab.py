@@ -1,8 +1,11 @@
-"""Exact brute-force counters for the finite combinatorial quantities.
+"""Exact counters for the finite combinatorial quantities.
 
-Everything here is exhaustively computed, no estimates: coset-run lengths,
+Everything here is counted exactly, no estimates: coset-run lengths,
 modular hyperbola and energy counts, subgroup shift intersections, product
 sets, the spaced-set partition, character sums, and smooth-number counts.
+Coset runs and the smooth subgroup are read off G_e and the factored p - 1,
+so they build no table over the field; the other counters loop over the
+boxes, sets or (for the complete character sums) the field they count.
 """
 
 from __future__ import annotations
@@ -23,9 +26,7 @@ from .errors import (
 from .field_core import (
     ExponentParams,
     PrimeContext,
-    build_index_table,
     character_eval,
-    power_table,
     subgroup_elements,
 )
 
@@ -36,17 +37,44 @@ LOOP_CAP = 10**8
 @functools.lru_cache(maxsize=4096)
 def longest_coset_run(ctx: PrimeContext, params: ExponentParams) -> int:
     """N(e): longest run x+1..x+H of consecutive elements inside one coset
-    of G_e.  Runs break at 0, which belongs to no coset."""
-    p = ctx.p
-    if p > EXHAUSTIVE_CAP:
-        raise TooLarge(f"p={p} above exhaustive cap")
-    tab = power_table(p, params.e)  # x^e identifies the coset of x
-    best = run = 1
-    for x in range(2, p):
-        run = run + 1 if tab[x] == tab[x - 1] else 1
-        if run > best:
-            best = run
-    return best
+    of G_e.  Runs break at 0, which belongs to no coset.
+
+    For x != 0, -1, x and x + 1 share a coset exactly when (x + 1)/x is in
+    G_e, that is when x lies in the link set C = {1/(g - 1) : g in G_e,
+    g != 1}.  C holds neither 0 nor -1, so no run wraps around, and N(e) is
+    1 plus the longest run of consecutive residues in C.  Cost: O(e) steps
+    for e <= EXHAUSTIVE_CAP (the g - 1 are inverted together by prefix
+    products and one pow), for any p; TooLarge above it.
+    """
+    p, e = ctx.p, params.e
+    if e > EXHAUSTIVE_CAP:
+        raise TooLarge(f"e={e} above exhaustive cap")
+    h = pow(ctx.g, params.d, p)  # generates G_e
+    # prefix[k] is the product of g - 1 over g = h^1..h^k
+    prefix = []
+    g = acc = 1
+    for _ in range(e - 1):
+        prefix.append(acc)
+        g = g * h % p
+        acc = acc * (g - 1) % p
+    # walk back down from g = h^(e-1), with inv the inverse of the product
+    # of h^j - 1 up to g's exponent, so that inv * before = 1 / (g - 1)
+    inv = pow(acc, -1, p)
+    h_inv = pow(h, -1, p)
+    links = set()
+    for before in reversed(prefix):
+        links.add(inv * before % p)
+        inv = inv * (g - 1) % p
+        g = g * h_inv % p
+    best = 0
+    for c in links:
+        if c - 1 in links:
+            continue  # not the start of its run
+        end = c + 1
+        while end in links:
+            end += 1
+        best = max(best, end - c)
+    return best + 1
 
 
 def hyperbola_count(p: int, u: int, v: int, H: int) -> int:
@@ -378,10 +406,23 @@ def psi_count(x: int, y: int) -> int:
 
 
 def smooth_subgroup_order(ctx: PrimeContext, y: int) -> int:
-    """Order of the subgroup of F_p^* generated by 1..y."""
-    table = build_index_table(ctx)
+    """Order of the subgroup of F_p^* generated by 1..y.
+
+    F_p^* is cyclic, so this is the lcm of the orders of 2..min(y, p - 1),
+    each read off the factored p - 1 with one pow per prime factor counted
+    with multiplicity.  The lcm reaches p - 1 at the least primitive root at
+    the latest, and the loop stops there.
+    """
     p = ctx.p
-    g = p - 1
-    for x in range(1, min(y, p - 1) + 1):
-        g = math.gcd(g, table(x))
-    return (p - 1) // math.gcd(p - 1, g)
+    order = 1
+    for x in range(2, min(y, p - 1) + 1):
+        if order == p - 1:
+            break
+        n = p - 1
+        for q, k in ctx.group_order_factors:
+            for _ in range(k):
+                if pow(x, n // q, p) != 1:
+                    break
+                n //= q
+        order = math.lcm(order, n)
+    return order

@@ -87,13 +87,21 @@ def _check_cell(cell, keys, who):
             raise ConfigError(f"{who} needs integers at {key!r}, not {value!r}")
 
 
+def _policy(cls, **kwargs):
+    """`cls(**kwargs)`, with an out-of-range value as a ConfigError."""
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
 def _policy_from(args) -> sr.ProbePolicy:
     kwargs = {}
     if args.epsilon is not None:
         kwargs["epsilon"] = args.epsilon
     if args.window_cap is not None:
         kwargs["window_cap"] = args.window_cap
-    return sr.ProbePolicy(**kwargs)
+    return _policy(sr.ProbePolicy, **kwargs)
 
 
 def _run_one_recovery(ctx, params, s, algorithm, seed, policy):
@@ -164,7 +172,8 @@ def run_identity(args) -> list[dict]:
     ctx = fc.make_context(p)
     params = fc.make_params(ctx, e)
     mode = args.mode or "exact"
-    policy = it.HPolicy(
+    policy = _policy(
+        it.HPolicy,
         mode=mode,
         epsilon=args.epsilon if args.epsilon is not None else 0.05,
         cap=args.window_cap,
@@ -243,6 +252,8 @@ def _lab_count(lemma, cell):
         )
         predicted = float(cell["h"] ** cell["nu"])
     elif lemma == "psi":
+        if cell["x"] < 1:
+            raise ConfigError(f"lemma 'psi' needs x >= 1, not {cell['x']}")
         count = bl.psi_count(cell["x"], cell["y"])
         u = math.log(cell["x"]) / math.log(cell["y"]) if cell["y"] > 1 else 1.0
         predicted = cell["x"] * u ** (-u) if u > 0 else float(cell["x"])
@@ -368,7 +379,8 @@ def _emit(rows, fmt, out):
             out.write("  ".join(v.ljust(w) for v, w in zip(c, widths)).rstrip() + "\n")
 
 
-# Every flag a subcommand can take, as keyword arguments of `add_argument`.
+# Every flag a subcommand can take, as keyword arguments of `add_argument`;
+# `_fill_flags` gives the `default` to a flag left off the command line.
 FLAGS = {
     "p": {"type": int},
     "e": {"type": int},
@@ -419,9 +431,14 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", help="JSON file of default flag values")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (_, flags) in SUBCOMMANDS.items():
-        sp = sub.add_parser(name, allow_abbrev=False)
+        # a flag left off the command line is absent from the namespace, so
+        # that `_fill_flags` can tell it from one given at its default value
+        sp = sub.add_parser(
+            name, allow_abbrev=False, argument_default=argparse.SUPPRESS
+        )
         for flag in flags:
-            sp.add_argument(f"--{flag}", **FLAGS[flag])
+            spec = {k: v for k, v in FLAGS[flag].items() if k != "default"}
+            sp.add_argument(f"--{flag}", **spec)
     return parser
 
 
@@ -446,26 +463,28 @@ def _config_value(flag, value):
     return float(value) if kind is float else value
 
 
-def _apply_config_defaults(args, flags):
-    """Fill each of `flags` that the command line left at its default from
-    the --config file; a key that is not one of `flags` is a ConfigError."""
-    if not args.config:
-        return
-    try:
-        with open(args.config) as f:
-            defaults = json.load(f)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
-    if not isinstance(defaults, dict):
-        raise ConfigError(f"config {args.config} must hold a JSON object")
-    for key, value in defaults.items():
-        flag = key.replace("_", "-")
-        if flag not in flags:
-            raise ConfigError(f"{args.command} takes no config key {key!r}")
-        value = _config_value(flag, value)
+def _fill_flags(args, flags):
+    """Give each of `flags` left off the command line its value from the
+    --config file, else its default: flags given on the command line win.
+    A config key that is not one of `flags` is a ConfigError."""
+    config = {}
+    if args.config:
+        try:
+            with open(args.config) as f:
+                defaults = json.load(f)
+        except (OSError, json.JSONDecodeError) as exc:
+            raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
+        if not isinstance(defaults, dict):
+            raise ConfigError(f"config {args.config} must hold a JSON object")
+        for key, value in defaults.items():
+            flag = key.replace("_", "-")
+            if flag not in flags:
+                raise ConfigError(f"{args.command} takes no config key {key!r}")
+            config[flag] = _config_value(flag, value)
+    for flag in flags:
         dest = flag.replace("-", "_")
-        if getattr(args, dest) == FLAGS[flag].get("default"):
-            setattr(args, dest, value)  # flags given on the command line win
+        if not hasattr(args, dest):
+            setattr(args, dest, config.get(flag, FLAGS[flag].get("default")))
 
 
 def main(argv=None) -> int:
@@ -475,7 +494,7 @@ def main(argv=None) -> int:
         return EXIT_CONFIG if exc.code not in (0, None) else 0
     try:
         runner, flags = SUBCOMMANDS[args.command]
-        _apply_config_defaults(args, flags)
+        _fill_flags(args, flags)
         rows = runner(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -4,9 +4,10 @@ Everything here is pure and immutable after construction.  A context factors
 p - 1 by trial division below 2^10 and Pollard-Brent rho beyond it: about
 (p - 1)^(1/4) steps at most, tens of milliseconds for any p < 2^61.  The
 index table is a dense array and is only built for moduli up to 2^24; larger
-moduli fail loudly instead of switching algorithms silently.  The dense power
-table is likewise O(p) and serves only the routines that enumerate the whole
-field.
+moduli fail loudly instead of switching algorithms silently.  It serves the
+characters.  The dense power table is likewise O(p) and serves only the two
+routines that enumerate the whole field: the large-e scan and the exhaustive
+two-oracle identity window.
 """
 
 from __future__ import annotations
@@ -232,7 +233,8 @@ def power_table(p: int, e: int) -> tuple[int, ...]:
     """Dense x -> x^e mod p for x in [0, p).
 
     O(p) time and memory: for the full-field enumerations only (the large-e
-    scan under SCAN_CAP, longest_coset_run and exact_unknown_window).
-    Recovery on a candidate set computes (t + x)^e with pow.
+    scan under SCAN_CAP and exact_unknown_window under LOOP_CAP).  Recovery
+    on a candidate set computes (t + x)^e with pow, and longest_coset_run
+    reads the coset runs off G_e.
     """
     return tuple(pow(x, e, p) for x in range(p))

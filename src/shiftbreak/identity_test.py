@@ -5,7 +5,9 @@ locally computed (x+t)^e; the forbidden input -t is structurally unreachable.
 Variant 2 (unknown t): probe both oracles on a shared prefix of F_p.
 
 Probe-window sizes come either from closed-form exponents (theoretical mode)
-or from exhaustive precomputation (exact mode, soundness guaranteed).
+or from exact counts (exact mode, soundness guaranteed): the longest coset
+run for known t, and an exhaustive pair scan, capped at p = 10^4, for
+unknown t.
 """
 
 from __future__ import annotations
@@ -14,8 +16,8 @@ import functools
 import math
 from dataclasses import dataclass
 
-from .bounds_lab import longest_coset_run
-from .errors import MismatchedParams, RangeViolation
+from .bounds_lab import LOOP_CAP, longest_coset_run
+from .errors import MismatchedParams, RangeViolation, TooLarge
 from .field_core import ExponentParams, PrimeContext, power_table
 from .oracle import ShiftOracle
 
@@ -45,8 +47,12 @@ def exact_unknown_window(p: int, e: int) -> int:
     """Largest first-disagreement probe index over all pairs s != t.
 
     Probing x = 0..this value is sound for the two-oracle test: some probe in
-    the range separates every distinct pair.
+    the range separates every distinct pair.  Cost: a dense power table of p
+    entries and up to p^2 / 2 pair scans, each as long as the pair's first
+    disagreement; TooLarge where p^2 > LOOP_CAP, that is above p = 10^4.
     """
+    if p * p > LOOP_CAP:
+        raise TooLarge(f"p={p}: p^2 above loop cap")
     tab = power_table(p, e)
     worst = 0
     for s in range(p):

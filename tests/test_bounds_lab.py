@@ -19,6 +19,27 @@ def divisors(n):
     return [d for d in range(1, n + 1) if n % d == 0]
 
 
+def primes_below(n):
+    return [p for p in range(3, n) if fc.is_prime(p)]
+
+
+MERSENNE_61 = 2**61 - 1
+
+
+@pytest.fixture
+def no_field_table(monkeypatch):
+    """The lab counters under test must never build an O(p) table."""
+
+    def refuse(name):
+        def build(*args):
+            raise AssertionError(f"{name} built by a lab counter")
+
+        return build
+
+    monkeypatch.setattr(fc, "power_table", refuse("power_table"))
+    monkeypatch.setattr(fc, "build_index_table", refuse("build_index_table"))
+
+
 def ctx_params(p, e):
     ctx = fc.make_context(p)
     return ctx, fc.make_params(ctx, e)
@@ -55,6 +76,58 @@ def test_coset_run_matches_naive():
     for p in (7, 13, 29, 31, 61):
         for e in divisors(p - 1):
             assert bl.longest_coset_run(*ctx_params(p, e)) == naive_coset_run(p, e)
+
+
+def power_table_coset_run(p, e):
+    """Reference: the dense scan over x = 1..p-1, where x^e names the coset
+    of x (the table is built locally, so none stays in power_table's cache)."""
+    tab = [pow(x, e, p) for x in range(p)]
+    best = run = 1
+    for x in range(2, p):
+        run = run + 1 if tab[x] == tab[x - 1] else 1
+        best = max(best, run)
+    return best
+
+
+def separate_inverse_coset_run(ctx, params):
+    """Reference for large p: the link set C built with one inversion per
+    element, its runs walked from every element."""
+    p = ctx.p
+    links = {
+        pow(g - 1, -1, p) for g in fc.subgroup_elements(ctx, params) if g != 1
+    }
+    best = 0
+    for c in links:
+        n = 0
+        while (c + n) % p in links:
+            n += 1
+        best = max(best, n)
+    return best + 1
+
+
+def test_coset_run_matches_power_table_scan():
+    for p in primes_below(2000):
+        ctx = fc.make_context(p)
+        for e in divisors(p - 1):
+            got = bl.longest_coset_run(ctx, fc.make_params(ctx, e))
+            assert got == power_table_coset_run(p, e), (p, e)
+
+
+def test_coset_run_large_p_anchors(no_field_table):
+    ctx, params = ctx_params(1000003, 166667)
+    assert bl.longest_coset_run(ctx, params) == 7
+    assert power_table_coset_run(1000003, 166667) == 7
+    for p, e, want in ((1000003, 6, 2), (MERSENNE_61, 150, 2), (MERSENNE_61, 1001, 2)):
+        ctx, params = ctx_params(p, e)
+        assert bl.longest_coset_run(ctx, params) == want, (p, e)
+        assert separate_inverse_coset_run(ctx, params) == want, (p, e)
+
+
+def test_coset_run_caps_e_not_p():
+    ctx, params = ctx_params(MERSENNE_61, (MERSENNE_61 - 1) // 2)
+    assert params.e > bl.EXHAUSTIVE_CAP
+    with pytest.raises(TooLarge):
+        bl.longest_coset_run(ctx, params)
 
 
 # --- hyperbola_count ---
@@ -346,6 +419,37 @@ def test_psi_matches_sieve_random():
     for x in range(40):
         for y in range(42):
             assert bl.psi_count(x, y) == sieve_psi(x, y), (x, y)
+
+
+def index_table_smooth_order(ctx, y):
+    """Reference: p - 1 over the gcd of p - 1 and the indices of 1..y."""
+    table = fc.build_index_table(ctx)
+    p = ctx.p
+    g = p - 1
+    for x in range(1, min(y, p - 1) + 1):
+        g = math.gcd(g, table(x))
+    return (p - 1) // math.gcd(p - 1, g)
+
+
+def test_smooth_subgroup_matches_index_table_gcd():
+    for p in primes_below(2000):
+        ctx = fc.make_context(p)
+        for y in [*range(-1, 12), p - 2, p - 1, p, p + 5]:
+            got = bl.smooth_subgroup_order(ctx, y)
+            assert got == index_table_smooth_order(ctx, y), (p, y)
+
+
+def test_smooth_subgroup_order_large_p(no_field_table):
+    ctx = fc.make_context(MERSENNE_61)
+    assert bl.smooth_subgroup_order(ctx, 1) == 1
+    assert bl.smooth_subgroup_order(ctx, 2) == 61  # 2^61 = 1 mod p, 61 prime
+    assert bl.smooth_subgroup_order(ctx, 10) == MERSENNE_61 - 1
+    assert bl.smooth_subgroup_order(ctx, 10**18) == MERSENNE_61 - 1
+
+
+def test_lab_counters_import_no_field_table():
+    assert not hasattr(bl, "power_table")
+    assert not hasattr(bl, "build_index_table")
 
 
 def test_smooth_subgroup_order():

@@ -182,6 +182,21 @@ def test_config_fills_every_flag_left_at_its_default(tmp_path):
     assert out == run_main([*argv, "--seed", "0"])[1]
 
 
+def test_explicit_flag_at_its_default_beats_config(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"trials": 2, "output": "table", "seed": 4}))
+    argv = ["recover", "--p", "13", "--e", "3"]
+    code, out = run_main(["--config", str(cfg), *argv, "--trials", "1"])
+    assert code == 0
+    assert out == run_main([*argv, "--output", "table", "--seed", "4"])[1]
+    assert len(out.splitlines()) == 2  # the table's header and one row
+    code, out = run_main(
+        ["--config", str(cfg), *argv, "--output", "json", "--seed", "0"]
+    )
+    assert code == 0
+    assert out == run_main([*argv, "--trials", "2"])[1]
+
+
 @pytest.mark.parametrize(
     "config",
     [
@@ -271,6 +286,35 @@ def test_usage_error_and_help_leave_the_parser_unchanged():
     code, help_text = run_main(["bench", "--help"])
     assert code == 0 and "--algorithms" in help_text and "--lemma" not in help_text
     assert run_main(argv) == (0, out)
+
+
+@pytest.mark.parametrize(
+    "argv, grid",
+    [
+        (["recover", "--p", "13", "--e", "3", "--epsilon", "1"], None),
+        (["bench", "--p", "13", "--e", "3", "--epsilon", "0.5"], None),
+        (["identity", "--p", "13", "--e", "3", "--epsilon", "0"], None),
+        (["lab", "--lemma", "psi"], [{"x": 0, "y": 3}]),
+    ],
+)
+def test_out_of_range_value_is_config_error(tmp_path, capsys, argv, grid):
+    if grid is not None:
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps(grid))
+        argv = argv + ["--grid", str(path)]
+    assert run_main(argv) == (2, "")
+    assert capsys.readouterr().err.startswith("config error: ")
+
+
+def test_identity_exact_windows_beyond_the_old_caps():
+    # known t: the coset-run window needs no table over the field
+    code, out = run_main(
+        ["identity", "--p", "1000003", "--e", "6", "--s", "5", "--t", "5"]
+    )
+    assert code == 0
+    assert json.loads(out)["verdict"] == "equal"
+    # unknown t: the exhaustive window is O(p^2) and stops at p = 10^4
+    assert run_main(["identity", "--p", "1000000009", "--e", "8"]) == (4, "")
 
 
 def test_exit_codes():

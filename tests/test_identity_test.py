@@ -2,7 +2,8 @@ import pytest
 
 from shiftbreak import field_core as fc
 from shiftbreak import identity_test as it
-from shiftbreak.errors import MismatchedParams, RangeViolation
+from shiftbreak import bounds_lab as bl
+from shiftbreak.errors import MismatchedParams, RangeViolation, TooLarge
 from shiftbreak.oracle import new_oracle
 
 
@@ -144,3 +145,15 @@ def test_call_counts():
     o_s, o_t = make(p, e, s), make(p, e, t)
     it.test_unknown_t(o_s, o_t, policy)
     assert o_s.calls + o_t.calls <= 2 * (h_unknown + 1)
+
+
+def test_exact_unknown_window_caps_p_squared(monkeypatch):
+    def refuse(p, e):
+        raise AssertionError(f"power_table({p}, {e}) built above the cap")
+
+    monkeypatch.setattr(it, "power_table", refuse)
+    assert 10007**2 > bl.LOOP_CAP
+    with pytest.raises(TooLarge):
+        it.exact_unknown_window(10007, 2)
+    with pytest.raises(TooLarge):
+        it.exact_unknown_window(1000000009, 8)
