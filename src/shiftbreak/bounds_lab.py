@@ -19,6 +19,7 @@ from .errors import (
     BadV,
     DegeneratePair,
     DegenerateShift,
+    NotPrime,
     PrincipalCharacter,
     TooLarge,
     TooSmall,
@@ -27,6 +28,7 @@ from .field_core import (
     ExponentParams,
     PrimeContext,
     character_eval,
+    is_prime,
     subgroup_elements,
 )
 
@@ -77,8 +79,15 @@ def longest_coset_run(ctx: PrimeContext, params: ExponentParams) -> int:
     return best + 1
 
 
+def _check_prime(p: int) -> None:
+    """The two counters that take a bare p rather than a PrimeContext."""
+    if not is_prime(p):
+        raise NotPrime(f"p={p} is not prime")
+
+
 def hyperbola_count(p: int, u: int, v: int, H: int) -> int:
     """Solutions of (x+u)(y+u) = v with 1 <= x, y <= H."""
+    _check_prime(p)
     if v % p == 0:
         raise BadV("v must be invertible")
     count = 0
@@ -94,6 +103,7 @@ def hyperbola_count(p: int, u: int, v: int, H: int) -> int:
 
 def multiplicative_energy_count(p: int, a: int, H: int) -> int:
     """Quadruples in [1,H]^4 with (a+x1)(a+x2) = (a+x3)(a+x4)."""
+    _check_prime(p)
     counts: dict = {}
     for x1 in range(1, H + 1):
         for x2 in range(1, H + 1):

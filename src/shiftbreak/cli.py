@@ -223,6 +223,8 @@ def _lab_count(lemma, cell):
         ctx = fc.make_context(cell["p"])
         count = bl.longest_coset_run(ctx, fc.make_params(ctx, cell["e"]))
         predicted = 4.0 * cell["e"] ** 0.25
+    elif lemma in ("hyperbola", "energy") and cell["H"] < 1:
+        raise ConfigError(f"lemma {lemma!r} needs H >= 1, not {cell['H']}")
     elif lemma == "hyperbola":
         count = bl.hyperbola_count(cell["p"], cell["u"], cell["v"], cell["H"])
         predicted = cell["H"] ** 2 / cell["p"] + 4.0 * math.sqrt(cell["H"]) + 4.0

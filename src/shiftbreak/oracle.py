@@ -53,10 +53,6 @@ def new_oracle(
     return ShiftOracle(ctx, params, s, forbidden)
 
 
-def call_count(oracle: ShiftOracle) -> int:
-    return oracle.calls
-
-
 def unsafe_reveal_secret(oracle: ShiftOracle) -> int:
     """Test-harness backdoor; never used by recovery algorithms."""
     return oracle._ShiftOracle__s

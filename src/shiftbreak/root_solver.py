@@ -1,16 +1,22 @@
 """Deterministic binomial-equation solvers over F_p.
 
-Solves x^e = A and index-restricted variants using per-prime power
-nonresidue witnesses, and builds candidate sets from consecutive oracle
-answers.  All returned solution sets are sorted ascending and re-verified.
+Solves x^e = A by Pohlig-Hellman over the part of p-1 whose primes divide
+e: one root in a fixed number of exponentiations, then its coset of G_e.
+Builds the candidate set of consecutive oracle answers as the intersection
+of two cosets of G_e.  The index-restricted variants use per-prime power
+nonresidue witnesses.  The per-(p, e) constants and witness sets are cached.
+All returned solution sets are sorted ascending; every root found is
+re-verified.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 from .errors import (
+    AlgorithmFailure,
     BadWitness,
     IncompleteWitnesses,
     LengthMismatch,
@@ -22,7 +28,6 @@ from .field_core import (
     ExponentParams,
     PrimeContext,
     least_nonresidue,
-    subgroup_elements,
 )
 
 
@@ -61,8 +66,10 @@ class WitnessSet:
         return all(ell in have for ell, _ in e_factors)
 
 
+@functools.lru_cache(maxsize=64)
 def full_witness_set(ctx: PrimeContext, params: ExponentParams) -> WitnessSet:
-    """Plain ell-th power nonresidues for every prime ell | e (gamma = 0)."""
+    """Plain ell-th power nonresidues for every prime ell | e (gamma = 0);
+    cached per (p, e)."""
     return WitnessSet(
         tuple((ell, least_nonresidue(ctx, ell), 0) for ell, _ in params.e_factors)
     )
@@ -136,15 +143,145 @@ def roots_prime_given_witness(
     return tuple(sorted(roots))
 
 
-def _one_prime_root(ctx: PrimeContext, r: int, b: int, a: int) -> tuple[int, ...]:
-    """All r-th roots of a in F_p^* (m = p-1)."""
-    return roots_prime_given_witness(ctx, ctx.p - 1, r, b, a)
+@dataclass(frozen=True)
+class _Sylow:
+    """Pohlig-Hellman constants for one prime ell | e with v_ell(p-1) > v_ell(e).
+
+    The Sylow ell-subgroup has order ell^alpha and is generated by
+    g^((p-1)/ell^alpha); an e-th power's discrete log there is divisible by
+    ell^eps, so only the digits eps..alpha-1 are searched.
+    """
+
+    ell: int
+    alpha: int  # v_ell(p-1)
+    eps: int  # v_ell(e)
+    cofactor: int  # Q / ell^alpha: (A^T)^cofactor lies in the Sylow subgroup
+    strip: tuple[int, ...]  # strip[i] = generator^(-ell^i)
+    digit: dict  # zeta^i -> i for the order-ell subgroup, zeta = g^((p-1)/ell)
+    crt: int  # 1 mod ell^alpha and 0 mod the other prime powers of Q
+
+
+@dataclass(frozen=True)
+class _RootPlan:
+    """Constants of x^e = A for one (p, e), with p-1 = Q*T.
+
+    Q collects the primes of p-1 that divide e, to their full multiplicity,
+    so gcd(T, e) = 1 and e | Q.
+    """
+
+    h: int  # g^d, a generator of G_e
+    T: int
+    Q: int
+    w: int  # e^-1 mod T
+    k: int  # (e*w - 1) / T
+    gamma: int  # g^T, a generator of the order-Q subgroup
+    sylows: tuple[_Sylow, ...]
+
+
+@functools.lru_cache(maxsize=64)
+def _root_plan(ctx: PrimeContext, params: ExponentParams) -> _RootPlan:
+    """The per-(p, e) constants; O(sum of ell) time and memory for the digit
+    tables, over the primes ell | e whose power in p-1 exceeds theirs in e."""
+    p, g, e = ctx.p, ctx.g, params.e
+    full = dict(ctx.group_order_factors)
+    Q = 1
+    for ell, _ in params.e_factors:
+        Q *= ell ** full[ell]
+    T = (p - 1) // Q
+    w = pow(e, -1, T)
+    gamma = pow(g, T, p)
+    sylows = []
+    for ell, eps in params.e_factors:
+        alpha = full[ell]
+        if alpha == eps:
+            continue
+        order = ell**alpha
+        cofactor = Q // order
+        inv_gen = pow(gamma, -cofactor, p)
+        zeta = pow(g, (p - 1) // ell, p)
+        digit, z = {}, 1
+        for i in range(ell):
+            digit[z] = i
+            z = z * zeta % p
+        sylows.append(
+            _Sylow(
+                ell=ell,
+                alpha=alpha,
+                eps=eps,
+                cofactor=cofactor,
+                strip=tuple(pow(inv_gen, ell**i, p) for i in range(alpha)),
+                digit=digit,
+                crt=cofactor * pow(cofactor, -1, order) % Q,
+            )
+        )
+    return _RootPlan(
+        h=pow(g, params.d, p),
+        T=T,
+        Q=Q,
+        w=w,
+        k=(e * w - 1) // T,
+        gamma=gamma,
+        sylows=tuple(sylows),
+    )
+
+
+def _one_root(ctx: PrimeContext, params: ExponentParams, A: int) -> int:
+    """One solution of x^e = A for a nonzero e-th power A (A^d = 1).
+
+    With w = e^-1 mod T, A^(e*w) = A * (A^T)^k.  A^T lies in the order-Q
+    subgroup, where A^T = gamma^L with e | L; its Sylow digits give L.  Then
+    x = A^w * gamma^(-(L/e)*k) has x^e = A * (A^T)^k * gamma^(-L*k) = A.
+    Cost: at most four exponentiations mod p (A^w, A^T, the correction and
+    the re-check of x^e = A), plus per Sylow one more and alpha - eps digit
+    steps of at most two smaller ones, each digit a dictionary lookup.  The
+    digit tables cost O(sum of ell) once per (p, e) (`_root_plan`).
+    """
+    p = ctx.p
+    plan = _root_plan(ctx, params)
+    L = 0
+    if plan.sylows:
+        AT = pow(A, plan.T, p)
+        for syl in plan.sylows:
+            ell, alpha = syl.ell, syl.alpha
+            b = pow(AT, syl.cofactor, p)
+            log = 0
+            for i in range(syl.eps, alpha):
+                dig = syl.digit[pow(b, ell ** (alpha - 1 - i), p)]
+                if dig:
+                    b = b * pow(syl.strip[i], dig, p) % p
+                    log += dig * ell**i
+            L += log * syl.crt
+    L %= plan.Q
+    x = pow(A, plan.w, p) * pow(plan.gamma, -(L // params.e) * plan.k % plan.Q, p) % p
+    if pow(x, params.e, p) != A:
+        raise AlgorithmFailure(f"x={x} is not an e-th root of A={A} mod {p}")
+    return x
+
+
+def _coset(x: int, h: int, size: int, p: int) -> list[int]:
+    """x, x*h, ..., x*h^(size-1) mod p, unsorted."""
+    out = [x]
+    for _ in range(size - 1):
+        x = x * h % p
+        out.append(x)
+    return out
+
+
+@functools.lru_cache(maxsize=64)
+def _is_power(p: int, ell: int, w: int) -> bool:
+    return pow(w, (p - 1) // ell, p) == 1
 
 
 def all_eth_roots(
     ctx: PrimeContext, params: ExponentParams, A: int, witnesses: WitnessSet
 ) -> tuple[int, ...]:
-    """The complete solution set of x^e = A: empty, {0}, or a coset of G_e."""
+    """The complete solution set of x^e = A: empty, {0}, or a coset of G_e.
+
+    One root by Pohlig-Hellman (`_one_root`), then the coset x0 * h^j with
+    h = g^d: a fixed number of exponentiations, e multiplications and the
+    sort.  The witnesses are checked, not used: every prime of e needs one,
+    and it must be an ell-th power nonresidue.
+    """
     p = ctx.p
     if not witnesses.covers(params.e_factors):
         raise IncompleteWitnesses("missing a prime of e")
@@ -153,23 +290,12 @@ def all_eth_roots(
         return (0,)
     if pow(A, params.d, p) != 1:
         return ()
-    # Peel one root at a time, keeping a branch that stays solvable for the
-    # remaining exponent; the full set is then x0 * G_e.
-    cur = A
-    rem = params.e
-    for ell, k in params.e_factors:
+    for ell, _ in params.e_factors:
         w = witnesses.witness(ell)
-        if pow(w, (p - 1) // ell, p) == 1:
+        if _is_power(p, ell, w):
             raise BadWitness(f"witness {w} is an {ell}-th power mod {p}")
-        for _ in range(k):
-            rem //= ell
-            roots = _one_prime_root(ctx, ell, w, cur)
-            if rem > 1:
-                # keep a branch that stays solvable for the remaining exponent
-                cur = next(x for x in roots if pow(x, (p - 1) // rem, p) == 1)
-            else:
-                cur = roots[0]
-    return tuple(sorted(cur * mu % p for mu in subgroup_elements(ctx, params)))
+    x0 = _one_root(ctx, params, A)
+    return tuple(sorted(_coset(x0, _root_plan(ctx, params).h, params.e, p)))
 
 
 def restricted_roots(
@@ -250,15 +376,18 @@ def candidates_from_consecutive_powers(
 ) -> tuple[int, ...]:
     """Exact solution set of (x+j)^e = A_j for j = 0..n, sorted ascending.
 
-    Every solution is an e-th root of A_0, so the set is the e-element coset
-    of those roots filtered against A_1..A_n: one root extraction and e
-    checks.  The paper's pigeonhole on indices mod n (some pair j1 < j2
-    has a quotient y with n | ind y) finds the same set through n(n+1)/2
-    restricted descents (`roots_with_index_divisibility`), which is no
-    cheaper on any cell measured, from p = 101 to 2^61 - 1.  The witnesses
-    fix n and must cover every prime of e.
+    With no zero answer, the solutions are the x in x0*G_e with x + 1 in
+    x1*G_e, where x0 and x1 are one root each of A_0 and A_1, that also
+    satisfy A_2..A_n.  Cost: two roots (`_one_root`), a set of the e
+    elements of x1*G_e, one walk over x0*G_e with a lookup each, and
+    n - 1 exponentiations per survivor.  The paper's pigeonhole on
+    indices mod n (some pair j1 < j2 has a quotient y with n | ind y) finds
+    the same set through n(n+1)/2 restricted descents
+    (`roots_with_index_divisibility`), which is no cheaper on any cell
+    measured, from p = 101 to 2^61 - 1.  The witnesses fix n and must cover
+    every prime of e.
     """
-    p = ctx.p
+    p, e = ctx.p, params.e
     n = witnesses.n
     if not witnesses.covers(params.e_factors):
         raise IncompleteWitnesses("missing a prime of e")
@@ -267,12 +396,22 @@ def candidates_from_consecutive_powers(
         raise LengthMismatch(f"expected {n + 1} answers, got {len(answers)}")
 
     def verifies(x, js):
-        return all(pow((x + j) % p, params.e, p) == answers[j] for j in js)
+        return all(pow((x + j) % p, e, p) == answers[j] for j in js)
 
     for j, aj in enumerate(answers):
         if aj == 0:
             x = (-j) % p
             return (x,) if verifies(x, range(n + 1)) else ()
-    roots = all_eth_roots(ctx, params, answers[0], full_witness_set(ctx, params))
-    # every root of A_0 already satisfies j = 0
-    return tuple(x for x in roots if verifies(x, range(1, n + 1)))
+    a0, a1 = answers[0], answers[1]
+    if pow(a0, params.d, p) != 1 or pow(a1, params.d, p) != 1:
+        return ()
+    h = _root_plan(ctx, params).h
+    # x + 1 needs no reduction: it is at most p, and 0 lies in no coset
+    shifted = set(_coset(_one_root(ctx, params, a1), h, e, p))
+    return tuple(
+        sorted(
+            x
+            for x in _coset(_one_root(ctx, params, a0), h, e, p)
+            if x + 1 in shifted and verifies(x, range(2, n + 1))
+        )
+    )

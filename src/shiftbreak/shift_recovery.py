@@ -114,13 +114,14 @@ def initial_candidates_zero_call(
     return CandidateSet(roots, "zero-call roots")
 
 
+@functools.lru_cache(maxsize=64)
 def smooth_witnesses(ctx: PrimeContext, params: ExponentParams, epsilon: float) -> WitnessSet:
     """Witnesses from the initial segment [1, y], y = floor(p^epsilon).
 
     gamma_ell is the smallest gamma_ell(x) over x <= y, where gamma_ell(x) is
     the largest gamma with x^((p-1)/ell^gamma) = 1; the minimizing x is the
     witness.  Small y keeps n = prod ell^gamma_ell small whenever a small
-    ell-th nonresidue exists.
+    ell-th nonresidue exists.  Cached per (p, e, epsilon).
     """
     p = ctx.p
     y = max(1, int(p**epsilon))
@@ -156,14 +157,29 @@ def _zeta(ctx: PrimeContext) -> int:
     return mod_inv(math.isqrt(ctx.p), ctx)
 
 
+def _probe_keys(p: int, e: int, S, x: int, zx: int | None) -> list[int]:
+    """The answers each t in S predicts at the probe: (t+x)^e, or the pair
+    ((t+x)^e, (t+zx)^e) packed into one integer when zx is given."""
+    if zx is None:
+        return [pow(t + x, e, p) for t in S]
+    return [pow(t + x, e, p) * p + pow(t + zx, e, p) for t in S]
+
+
+def _stat_r(keys) -> int:
+    return max(collections.Counter(keys).values()) if keys else 0
+
+
+def _stat_R(keys) -> int:
+    counts = collections.Counter(keys)
+    return sum(c * (c - 1) for v, c in counts.items() if v != 0)
+
+
 def collision_stat_r(
     ctx: PrimeContext, params: ExponentParams, S, x: int
 ) -> int:
     """Max multiplicity of the pair ((t+x)^e, (t+zeta*x)^e) over t in S."""
-    p, e = ctx.p, params.e
-    zx = _zeta(ctx) * x % p
-    keys = [pow(t + x, e, p) * p + pow(t + zx, e, p) for t in S]
-    return max(collections.Counter(keys).values()) if keys else 0
+    p = ctx.p
+    return _stat_r(_probe_keys(p, params.e, S, x, _zeta(ctx) * x % p))
 
 
 def collision_stat_R(
@@ -174,9 +190,7 @@ def collision_stat_R(
     Equivalent to sum of c*(c-1) over fibers of t -> (x+t)^e, excluding the
     zero fiber (pairs with x+s2 = 0 are excluded, and x+s1 = 0 gives ratio 0).
     """
-    p, e = ctx.p, params.e
-    counts = collections.Counter(pow(t + x, e, p) for t in S)
-    return sum(c * (c - 1) for v, c in counts.items() if v != 0)
+    return _stat_R(_probe_keys(ctx.p, params.e, S, x, None))
 
 
 def narrow_candidates(
@@ -189,7 +203,9 @@ def narrow_candidates(
     """One narrowing round: scan a probe window, query, filter.
 
     The probe is the smallest x minimizing the statistic; the window doubles
-    while no probe certifies strict shrinkage.
+    while no probe certifies strict shrinkage.  The chosen probe's predicted
+    answers are kept from the scan and filter the set, so no power is
+    computed twice.
     """
     ctx, params = oracle.ctx, oracle.params
     p, e = ctx.p, params.e
@@ -197,20 +213,22 @@ def narrow_candidates(
     members = S.members
     size = len(members)
     h = min(max(policy.initial_window, 1), cap)
-    stat_fn = collision_stat_r if stat == "r" else collision_stat_R
+    stat_fn = _stat_r if stat == "r" else _stat_R
     certify = size if stat == "r" else size * (size - 1)
     zeta = _zeta(ctx)
     scanned = 0
     while True:
-        best_val, best_x = None, None
+        best_val, best_x, best_keys = None, None, None
         for x in range(scanned, h):
             if x in oracle.forbidden:
                 continue
-            if stat == "r" and (zeta * x % p) in oracle.forbidden:
+            zx = zeta * x % p if stat == "r" else None
+            if zx is not None and zx in oracle.forbidden:
                 continue
-            v = stat_fn(ctx, params, members, x)
+            keys = _probe_keys(p, e, members, x, zx)
+            v = stat_fn(keys)
             if best_val is None or v < best_val:
-                best_val, best_x = v, x
+                best_val, best_x, best_keys = v, x, keys
                 if v == 0 or (stat == "r" and v == 1):
                     break
         if best_val is not None and best_val < certify:
@@ -219,18 +237,10 @@ def narrow_candidates(
         if h >= cap:
             raise Stalled(f"window cap {cap} reached without shrinkage")
         h = min(h * policy.stall_factor, cap)
+    want = oracle.query(best_x)
     if stat == "r":
-        a1 = oracle.query(best_x)
-        a2 = oracle.query(zeta * best_x % p)
-        zx = zeta * best_x % p
-        kept = tuple(
-            t
-            for t in members
-            if pow(t + best_x, e, p) == a1 and pow(t + zx, e, p) == a2
-        )
-    else:
-        a1 = oracle.query(best_x)
-        kept = tuple(t for t in members if pow(t + best_x, e, p) == a1)
+        want = want * p + oracle.query(zeta * best_x % p)
+    kept = tuple(t for t, key in zip(members, best_keys) if key == want)
     if trace is not None:
         trace.rounds.append((stat, best_x, size, len(kept)))
     return CandidateSet(kept, "narrowed")

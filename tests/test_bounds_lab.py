@@ -9,6 +9,7 @@ from shiftbreak.errors import (
     BadV,
     DegeneratePair,
     DegenerateShift,
+    NotPrime,
     PrincipalCharacter,
     TooLarge,
     TooSmall,
@@ -189,6 +190,14 @@ def test_energy_matches_naive_random():
         p = rng.choice([13, 29, 31, 61])
         a, H = rng.randrange(p), rng.randrange(1, 9)
         assert bl.multiplicative_energy_count(p, a, H) == naive_energy(p, a, H)
+
+
+@pytest.mark.parametrize("p", [1, 12, 91, -13])
+def test_bare_p_counters_need_a_prime(p):
+    with pytest.raises(NotPrime):
+        bl.hyperbola_count(p, 0, 5, 3)
+    with pytest.raises(NotPrime):
+        bl.multiplicative_energy_count(p, 0, 3)
 
 
 # --- subgroup_shift_intersection ---

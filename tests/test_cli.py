@@ -295,6 +295,8 @@ def test_usage_error_and_help_leave_the_parser_unchanged():
         (["bench", "--p", "13", "--e", "3", "--epsilon", "0.5"], None),
         (["identity", "--p", "13", "--e", "3", "--epsilon", "0"], None),
         (["lab", "--lemma", "psi"], [{"x": 0, "y": 3}]),
+        (["lab", "--lemma", "energy"], [{"p": 13, "a": 0, "H": -2}]),
+        (["lab", "--lemma", "hyperbola"], [{"p": 13, "u": 0, "v": 5, "H": 0}]),
     ],
 )
 def test_out_of_range_value_is_config_error(tmp_path, capsys, argv, grid):
@@ -304,6 +306,22 @@ def test_out_of_range_value_is_config_error(tmp_path, capsys, argv, grid):
         argv = argv + ["--grid", str(path)]
     assert run_main(argv) == (2, "")
     assert capsys.readouterr().err.startswith("config error: ")
+
+
+@pytest.mark.parametrize(
+    "lemma, cell",
+    [
+        ("hyperbola", {"p": 12, "u": 0, "v": 5, "H": 3}),
+        ("hyperbola", {"p": 1, "u": 0, "v": 5, "H": 3}),
+        ("energy", {"p": 1, "a": 0, "H": 3}),
+        ("energy", {"p": 12, "a": 0, "H": 3}),
+    ],
+)
+def test_lab_counter_on_a_composite_p_exits_2(tmp_path, capsys, lemma, cell):
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps([cell]))
+    assert run_main(["lab", "--lemma", lemma, "--grid", str(path)]) == (2, "")
+    assert capsys.readouterr().err == f"error: p={cell['p']} is not prime\n"
 
 
 def test_identity_exact_windows_beyond_the_old_caps():

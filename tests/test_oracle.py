@@ -4,7 +4,7 @@ import pytest
 
 from shiftbreak import field_core as fc
 from shiftbreak.errors import ForbiddenInput, OutOfRange
-from shiftbreak.oracle import call_count, new_oracle, unsafe_reveal_secret
+from shiftbreak.oracle import new_oracle, unsafe_reveal_secret
 
 
 def make(p=13, e=3, s=5, forbidden=frozenset()):
@@ -13,14 +13,14 @@ def make(p=13, e=3, s=5, forbidden=frozenset()):
 
 
 def test_fresh_oracle_counts_zero():
-    assert call_count(make()) == 0
+    assert make().calls == 0
 
 
 def test_query_examples():
     o = make()
     assert o.query(2) == 5  # (2+5)^3 = 343 = 5 mod 13
     assert o.query(8) == 0  # x = -s
-    assert call_count(o) == 2
+    assert o.calls == 2
 
 
 def test_forbidden_input_rejected_and_not_counted():
@@ -29,7 +29,7 @@ def test_forbidden_input_rejected_and_not_counted():
     with pytest.raises(ForbiddenInput):
         o.query(9)
     o.query(2)
-    assert call_count(o) == 2
+    assert o.calls == 2
 
 
 def test_out_of_range_secret():
@@ -65,4 +65,4 @@ def test_counter_exact_under_threads():
         t.start()
     for t in threads:
         t.join()
-    assert call_count(o) == n_threads * per_thread
+    assert o.calls == n_threads * per_thread

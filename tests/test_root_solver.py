@@ -15,6 +15,16 @@ from shiftbreak.errors import (
 )
 
 PRIMES = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 53, 61, 73, 97]
+MERSENNE_61 = 2**61 - 1
+SAFE_PRIME_48 = 140737488356903  # 2q + 1 with q prime
+RHO_PRIME = 1126844094631811327  # p - 1 = 2 * 527608327 * 1067879369
+# (p, exponents): every factorization shape the wide benchmark cells reach
+LARGE_CELLS = [
+    (MERSENNE_61, (3, 150, 1001)),
+    (1000000009, (4, 504)),
+    (SAFE_PRIME_48, (2,)),
+    (RHO_PRIME, (2,)),
+]
 
 
 def divisors(n):
@@ -99,6 +109,47 @@ def test_all_eth_roots_outputs_are_cosets():
                 x0 = got[0]
                 inv = pow(x0, -1, 61)
                 assert {x * inv % 61 for x in got} == sub
+
+
+def test_all_eth_roots_rejects_a_residue_witness():
+    ctx = fc.make_context(13)
+    params = fc.make_params(ctx, 3)
+    with pytest.raises(BadWitness):
+        rs.all_eth_roots(ctx, params, 5, rs.WitnessSet(((3, 8, 0),)))  # 8 = 2^3
+    # checked only once A is a nonzero e-th power
+    assert rs.all_eth_roots(ctx, params, 2, rs.WitnessSet(((3, 8, 0),))) == ()
+
+
+def descent_eth_roots(ctx, params, A):
+    """The prime-by-prime witness descent: peel one ell-th root at a time,
+    keeping a branch that stays solvable for the rest of e, then multiply
+    by G_e.  A reference for the Pohlig-Hellman root."""
+    p = ctx.p
+    A %= p
+    if A == 0:
+        return (0,)
+    if pow(A, params.d, p) != 1:
+        return ()
+    cur, rem = A, params.e
+    for ell, k in params.e_factors:
+        w = fc.least_nonresidue(ctx, ell)
+        for _ in range(k):
+            rem //= ell
+            roots = rs.roots_prime_given_witness(ctx, p - 1, ell, w, cur)
+            cur = next(x for x in roots if pow(x, (p - 1) // rem, p) == 1)
+    return tuple(sorted(cur * mu % p for mu in fc.subgroup_elements(ctx, params)))
+
+
+def test_all_eth_roots_match_descent_at_large_p():
+    rng = random.Random(61)
+    for p, exponents in LARGE_CELLS:
+        ctx = fc.make_context(p)
+        for e in exponents:
+            params = fc.make_params(ctx, e)
+            wits = rs.full_witness_set(ctx, params)
+            for A in [1, pow(rng.randrange(1, p), e, p), rng.randrange(1, p)]:
+                got = rs.all_eth_roots(ctx, params, A, wits)
+                assert got == descent_eth_roots(ctx, params, A), (p, e, A)
 
 
 def test_all_eth_roots_requires_witnesses():
@@ -344,3 +395,137 @@ def prop_all_roots_verify(p, seed):
 
 
 test_prop_all_roots_verify = prop_all_roots_verify
+
+
+def root_filter_candidates(ctx, params, wits, answers):
+    """The e-root filter: every root of A_0 (by the witness descent), kept
+    when it satisfies A_1..A_n.  A reference for the coset intersection."""
+    p, n = ctx.p, wits.n
+    answers = [a % p for a in answers]
+    for j, aj in enumerate(answers):
+        if aj == 0:
+            x = (-j) % p
+            ok = all(pow(x + i, params.e, p) == answers[i] for i in range(n + 1))
+            return (x,) if ok else ()
+    return tuple(
+        x
+        for x in descent_eth_roots(ctx, params, answers[0])
+        if all(pow(x + j, params.e, p) == answers[j] for j in range(1, n + 1))
+    )
+
+
+def pigeonhole_cases(rng, p, e, n):
+    """Planted answers with their shift, then spliced, random e-th power and
+    random answers with None."""
+
+    def shifted(s):
+        return [pow(s + j, e, p) for j in range(n + 1)]
+
+    cases = [(s, shifted(s)) for s in (0, 1, p - 1, rng.randrange(p))]
+    for _ in range(2):
+        spliced = shifted(rng.randrange(p))
+        spliced[-1] = shifted(rng.randrange(p))[-1]
+        cases.append((None, spliced))
+        cases.append((None, [pow(rng.randrange(p), e, p) for _ in range(n + 1)]))
+        cases.append((None, [rng.randrange(p) for _ in range(n + 1)]))
+    return cases
+
+
+def test_coset_intersection_matches_root_filter_below_300():
+    rng = random.Random(300)
+    checked = 0
+    for p in (q for q in range(3, 300) if fc.is_prime(q)):
+        ctx = fc.make_context(p)
+        for e in divisors(p - 1):
+            params = fc.make_params(ctx, e)
+            for wits in (
+                rs.full_witness_set(ctx, params),
+                sr.smooth_witnesses(ctx, params, 0.05),
+                gamma_one_witnesses(ctx, params),
+            ):
+                if wits.n + 1 > p:
+                    continue
+                for s, answers in pigeonhole_cases(rng, p, e, wits.n):
+                    got = rs.candidates_from_consecutive_powers(ctx, params, wits, answers)
+                    assert got == root_filter_candidates(ctx, params, wits, answers), (
+                        p,
+                        e,
+                        answers,
+                    )
+                    assert s is None or s in got
+                    checked += 1
+    assert checked > 5000
+
+
+def test_coset_intersection_matches_root_filter_at_large_p():
+    rng = random.Random(2)
+    for p, exponents in LARGE_CELLS:
+        ctx = fc.make_context(p)
+        for e in exponents:
+            params = fc.make_params(ctx, e)
+            for wits in (rs.full_witness_set(ctx, params), sr.smooth_witnesses(ctx, params, 0.05)):
+                for s, answers in pigeonhole_cases(rng, p, e, wits.n):
+                    got = rs.candidates_from_consecutive_powers(ctx, params, wits, answers)
+                    assert got == root_filter_candidates(ctx, params, wits, answers)
+                    assert s is None or s in got
+
+
+def divisors_up_to(ctx, bound):
+    out = [1]
+    for ell, alpha in ctx.group_order_factors:
+        out = [d * ell**i for d in out for i in range(alpha + 1) if d * ell**i <= bound]
+    return sorted(out)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(PRIMES + [p for p, _ in LARGE_CELLS]),
+    st.integers(min_value=0, max_value=10**6),
+)
+def prop_one_root_spans_the_root_set(p, seed):
+    rng = random.Random(seed)
+    ctx = fc.make_context(p)
+    e = rng.choice(divisors_up_to(ctx, 2000))
+    params = fc.make_params(ctx, e)
+    A = pow(rng.randrange(1, p), e, p) if rng.random() < 0.7 else rng.randrange(1, p)
+    roots = rs.all_eth_roots(ctx, params, A, rs.full_witness_set(ctx, params))
+    if pow(A, params.d, p) != 1:
+        assert roots == ()
+        return
+    x = rs._one_root(ctx, params, A)
+    assert pow(x, e, p) == A
+    assert roots == tuple(sorted(x * g % p for g in fc.subgroup_elements(ctx, params)))
+
+
+test_prop_one_root_spans_the_root_set = prop_one_root_spans_the_root_set
+
+
+def test_answers_identical_after_every_cache_clear():
+    caches = [rs._root_plan, rs._is_power, rs.full_witness_set, sr.smooth_witnesses]
+    for cache in caches:
+        assert callable(cache.cache_clear)
+
+    def answers():
+        out = []
+        for p, e in [(61, 12), (97, 32), (MERSENNE_61, 150), (1000000009, 504)]:
+            ctx = fc.make_context(p)
+            params = fc.make_params(ctx, e)
+            wits = rs.full_witness_set(ctx, params)
+            smooth = sr.smooth_witnesses(ctx, params, 0.05)
+            s = 7 * p // 11
+            A = [pow(s + j, e, p) for j in range(smooth.n + 1)]
+            out.append(rs.all_eth_roots(ctx, params, A[0], wits))
+            out.append(rs.candidates_from_consecutive_powers(ctx, params, smooth, A))
+            out.append((wits, smooth))
+        return out
+
+    def clear():
+        for cache in caches:
+            cache.cache_clear()
+            assert cache.cache_info().currsize == 0
+
+    clear()
+    cold = answers()
+    warm = answers()
+    clear()
+    assert cold == warm == answers()

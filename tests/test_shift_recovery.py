@@ -6,7 +6,7 @@ import pytest
 from shiftbreak import field_core as fc
 from shiftbreak import shift_recovery as sr
 from shiftbreak.errors import Stalled
-from shiftbreak.oracle import call_count, new_oracle
+from shiftbreak.oracle import new_oracle
 from shiftbreak.root_solver import full_witness_set
 
 PRIMES = [5, 7, 11, 13, 17, 19, 23, 29, 31, 41, 61]
@@ -24,13 +24,13 @@ def make(p, e, s):
 def test_interpolation_examples():
     o = make(13, 3, 5)
     assert sr.interpolation_recover(o) == 5
-    assert call_count(o) == 4
+    assert o.calls == 4
     o = make(13, 1, 7)
     assert sr.interpolation_recover(o) == 7
-    assert call_count(o) == 2
+    assert o.calls == 2
     o = make(13, 12, 0)
     assert sr.interpolation_recover(o) == 0
-    assert call_count(o) == 13
+    assert o.calls == 13
 
 
 def test_interpolation_exhaustive_small():
@@ -39,7 +39,7 @@ def test_interpolation_exhaustive_small():
             for s in range(p):
                 o = make(p, e, s)
                 assert sr.interpolation_recover(o) == s
-                assert call_count(o) == e + 1
+                assert o.calls == e + 1
 
 
 def _interp_weights_by_products(p, e):
@@ -66,7 +66,7 @@ def test_zero_call_candidates_examples():
     wits = full_witness_set(o.ctx, o.params)
     S = sr.initial_candidates_zero_call(o, wits)
     assert S.members == (2, 5, 6)
-    assert call_count(o) == 1
+    assert o.calls == 1
 
     o = make(13, 3, 0)
     S = sr.initial_candidates_zero_call(o, full_witness_set(o.ctx, o.params))
@@ -98,7 +98,7 @@ def test_smooth_candidates_contain_secret():
                 o = make(p, e, s)
                 S, wits = sr.initial_candidates_smooth(o, 0.05)
                 assert s in S.members
-                assert call_count(o) == wits.n + 1
+                assert o.calls == wits.n + 1
 
 
 def test_collision_stat_r_examples():
@@ -144,12 +144,73 @@ def test_narrow_candidates_pinned_cases():
     S = sr.CandidateSet((2, 5, 6), "zero-call roots")
     T = sr.narrow_candidates(o, S, sr.ProbePolicy(), "R")
     assert T.members == (5,)
-    assert call_count(o) == 1
+    assert o.calls == 1
 
     o = make(13, 3, 5)
     T = sr.narrow_candidates(o, sr.CandidateSet((4, 5), "narrowed"), sr.ProbePolicy(), "r")
     assert T.members == (5,)
-    assert call_count(o) == 2
+    assert o.calls == 2
+
+
+def stat_reference_narrow(o, S, policy, stat):
+    """One narrowing round through the public statistics: pick the probe by
+    collision_stat_r or collision_stat_R, query, then recompute the powers
+    to filter.  Returns (probe, kept)."""
+    p, e = o.ctx.p, o.params.e
+    zeta = sr._zeta(o.ctx)
+    stat_fn = sr.collision_stat_r if stat == "r" else sr.collision_stat_R
+    certify = len(S) if stat == "r" else len(S) * (len(S) - 1)
+    scanned, h = 0, min(max(policy.initial_window, 1), p - 1)
+    while True:
+        best = None
+        for x in range(scanned, h):
+            if x in o.forbidden or (stat == "r" and zeta * x % p in o.forbidden):
+                continue
+            v = stat_fn(o.ctx, o.params, S.members, x)
+            if best is None or v < best[0]:
+                best = (v, x)
+                if v == 0 or (stat == "r" and v == 1):
+                    break
+        if best is not None and best[0] < certify:
+            break
+        if h >= p - 1:
+            raise Stalled("window cap reached")
+        scanned, h = h, min(h * policy.stall_factor, p - 1)
+    x = best[1]
+    a1 = o.query(x)
+    if stat == "r":
+        a2 = o.query(zeta * x % p)
+        kept = [t for t in S.members if pow(t + x, e, p) == a1 and pow(t + zeta * x, e, p) == a2]
+    else:
+        kept = [t for t in S.members if pow(t + x, e, p) == a1]
+    return x, tuple(kept)
+
+
+def test_narrowing_matches_the_statistic_reference():
+    # a round keeps the scanned probe's powers to filter with; its probe,
+    # kept set and oracle calls equal those of a round that recomputes them
+    rng = random.Random(31)
+    rounds = 0
+    for p in (29, 61, 101, 331):
+        ctx = fc.make_context(p)
+        for e in divisors(p - 1)[2:-1]:
+            params = fc.make_params(ctx, e)
+            for _ in range(3):
+                s = rng.randrange(p)
+                forbidden = frozenset({rng.randrange(1, 4)})
+                o = new_oracle(ctx, params, s, forbidden)
+                S = sr.initial_candidates_zero_call(o, full_witness_set(ctx, params))
+                while len(S) > 1:
+                    for stat in ("r", "R"):
+                        o, ref = (new_oracle(ctx, params, s, forbidden) for _ in "ab")
+                        trace = sr.RecoveryTrace()
+                        got = sr.narrow_candidates(o, S, sr.ProbePolicy(), stat, trace)
+                        want = stat_reference_narrow(ref, S, sr.ProbePolicy(), stat)
+                        assert (trace.rounds[0][1], got.members) == want
+                        assert o.calls == ref.calls
+                        rounds += 1
+                    S = got
+    assert rounds > 200
 
 
 def test_recover_from_candidates_example():
@@ -160,7 +221,7 @@ def test_recover_from_candidates_example():
 
     o = make(13, 3, 5)
     assert sr.recover_from_candidates(o, sr.CandidateSet((5,), "narrowed")) == 5
-    assert call_count(o) == 0  # singleton resolves free
+    assert o.calls == 0  # singleton resolves free
 
 
 def test_monotone_shrinkage_with_secret_retained():
@@ -193,12 +254,12 @@ def test_recover_randomized_deterministic():
     wits = full_witness_set(o1.ctx, o1.params)
     S0 = sr.initial_candidates_zero_call(o1, wits)
     assert sr.recover_randomized(o1, S0, seed=42) == 5
-    c1 = call_count(o1)
+    c1 = o1.calls
 
     o2 = make(13, 3, 5)
     S0b = sr.initial_candidates_zero_call(o2, full_witness_set(o2.ctx, o2.params))
     assert sr.recover_randomized(o2, S0b, seed=42) == 5
-    assert call_count(o2) == c1
+    assert o2.calls == c1
 
 
 def test_large_e_call_count_example():
@@ -209,7 +270,7 @@ def test_scan_phase_zero_shortcut():
     # s = -1: the j=1 query answers 0 and the shift is read off directly
     o = make(13, 6, 12)
     assert sr._scan_candidates(o) == 12
-    assert call_count(o) == 1
+    assert o.calls == 1
 
 
 def test_recover_large_e_cases():
@@ -266,7 +327,7 @@ def _calls_per_shift(algorithm, p, e):
     for s in range(p):
         o = make(p, e, s)
         assert _recover(algorithm, o, s + 1) == s, (algorithm, p, e, s)
-        calls.append(call_count(o))
+        calls.append(o.calls)
     return calls
 
 
@@ -355,7 +416,7 @@ def test_resolve_small_queries_around_a_forbidden_probe():
     params = fc.make_params(ctx, 3)
     o = new_oracle(ctx, params, 5, frozenset({8}))
     assert sr.recover_zero_call_narrow(o) == 5
-    assert call_count(o) == 3
+    assert o.calls == 3
 
 
 def test_resolve_small_stalls_on_two_untestable_candidates():
@@ -366,4 +427,4 @@ def test_resolve_small_stalls_on_two_untestable_candidates():
         sr.recover_zero_call_narrow(new_oracle(ctx, params, 5, frozenset({7, 8})))
     o = new_oracle(ctx, params, 2, frozenset({7, 8}))
     assert sr.recover_zero_call_narrow(o) == 2  # x = 11 answers 0
-    assert call_count(o) == 2
+    assert o.calls == 2
