@@ -25,6 +25,7 @@ from .errors import (
     TooSmall,
 )
 from .field_core import (
+    EXHAUSTIVE_CAP,
     ExponentParams,
     PrimeContext,
     character_eval,
@@ -32,7 +33,6 @@ from .field_core import (
     subgroup_elements,
 )
 
-EXHAUSTIVE_CAP = 10**6
 LOOP_CAP = 10**8
 
 

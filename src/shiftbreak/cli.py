@@ -42,14 +42,6 @@ EXIT_CONFIG = 2
 EXIT_DEFECT = 3
 EXIT_RESOURCE = 4
 
-ALGORITHMS = (
-    "interpolation",
-    "zero_call_narrow",
-    "smooth_narrow",
-    "randomized",
-    "large_e",
-)
-
 
 # The integer keys each lemma reads from a grid cell (`subgroup_shift`'s
 # `shifts` holds [a, b] integer pairs).  `product_set` also reads an optional
@@ -108,21 +100,7 @@ def _run_one_recovery(ctx, params, s, algorithm, seed, policy):
     p, e = ctx.p, params.e
     oracle = new_oracle(ctx, params, s)
     trace = sr.RecoveryTrace()
-    if algorithm == "interpolation":
-        recovered = sr.interpolation_recover(oracle)
-    elif algorithm == "zero_call_narrow":
-        recovered = sr.recover_zero_call_narrow(oracle, policy, trace)
-    elif algorithm == "smooth_narrow":
-        recovered = sr.recover_smooth_narrow(oracle, policy, trace)
-    elif algorithm == "randomized":
-        from .root_solver import full_witness_set
-
-        S0 = sr.initial_candidates_zero_call(oracle, full_witness_set(ctx, params))
-        recovered = sr.recover_randomized(oracle, S0, seed, trace)
-    elif algorithm == "large_e":
-        recovered = sr.recover_large_e(oracle, policy, trace)
-    else:
-        raise ConfigError(f"unknown algorithm {algorithm!r}")
+    recovered = sr.recover(oracle, algorithm, policy, seed, trace)
     if recovered != s:
         raise AlgorithmFailure(
             f"recovered {recovered} != planted {s} (p={p}, e={e}, {algorithm})"
@@ -142,9 +120,9 @@ def run_recover(args) -> list[dict]:
     p, e = args.p, args.e
     if p is None or e is None:
         raise ConfigError("recover requires --p and --e")
+    if args.trials < 1:
+        raise ConfigError("recover requires trials >= 1")
     algorithm = args.algorithm or "zero_call_narrow"
-    if algorithm not in ALGORITHMS:
-        raise ConfigError(f"unknown algorithm {algorithm!r}")
     policy = _policy_from(args)
     ctx = fc.make_context(p)
     params = fc.make_params(ctx, e)
@@ -311,9 +289,6 @@ def run_bench(args) -> list[dict]:
             raise ConfigError("bench requires --grid or --p and --e")
         cells = [{"p": args.p, "e": args.e}]
     algorithms = args.algorithms or ["interpolation", "zero_call_narrow", "randomized"]
-    for a in algorithms:
-        if a not in ALGORITHMS:
-            raise ConfigError(f"unknown algorithm {a!r}")
     if args.trials < 1:
         raise ConfigError("bench requires trials >= 1")
     policy = _policy_from(args)

@@ -22,6 +22,9 @@ from .errors import NoInverse, NotDividing, NotPrime, Overflow, TooLarge
 
 MAX_P = 2**61
 DENSE_TABLE_CAP = 2**24
+# Largest e for the routines that walk G_e or make e + 1 queries: the e-th
+# root sets, the interpolation baseline and the longest coset run.
+EXHAUSTIVE_CAP = 10**6
 
 # Witness set valid for deterministic Miller-Rabin below 2^64.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)

@@ -1,12 +1,11 @@
 """Deterministic binomial-equation solvers over F_p.
 
-Solves x^e = A by Pohlig-Hellman over the part of p-1 whose primes divide
-e: one root in a fixed number of exponentiations, then its coset of G_e.
-Builds the candidate set of consecutive oracle answers as the intersection
-of two cosets of G_e.  The index-restricted variants use per-prime power
-nonresidue witnesses.  The per-(p, e) constants and witness sets are cached.
-All returned solution sets are sorted ascending; every root found is
-re-verified.
+`consecutive_roots` solves (x + j)^e = A_j for j = 0..n: one root of A_0 by
+Pohlig-Hellman over the part of p-1 whose primes divide e, then a walk of its
+coset of G_e.  The zero-call roots and the smooth pigeonhole are its n = 0 and
+witness-sized cases.  The per-prime witness descent stays only as the tests'
+reference and as tracer hooks.  The per-(p, e) constants and witness sets are
+cached.  Solution sets are sorted ascending; every root found is re-verified.
 """
 
 from __future__ import annotations
@@ -23,8 +22,10 @@ from .errors import (
     NotCoprime,
     NotDividing,
     NotInSubgroup,
+    TooLarge,
 )
 from .field_core import (
+    EXHAUSTIVE_CAP,
     ExponentParams,
     PrimeContext,
     least_nonresidue,
@@ -258,13 +259,50 @@ def _one_root(ctx: PrimeContext, params: ExponentParams, A: int) -> int:
     return x
 
 
-def _coset(x: int, h: int, size: int, p: int) -> list[int]:
-    """x, x*h, ..., x*h^(size-1) mod p, unsorted."""
-    out = [x]
-    for _ in range(size - 1):
+def _coset_walk(x: int, h: int, size: int, p: int):
+    """Yield x, x*h, ..., x*h^(size-1) mod p."""
+    for _ in range(size):
+        yield x
         x = x * h % p
-        out.append(x)
-    return out
+
+
+def consecutive_roots(
+    ctx: PrimeContext, params: ExponentParams, answers
+) -> tuple[int, ...]:
+    """Exact solution set of (x + j)^e = A_j for j = 0..n, n >= 0, sorted.
+
+    A zero answer A_j fixes x = -j.  Otherwise x walks x0*G_e, x0 one root
+    of A_0 (`_one_root`), and for n >= 1 is kept when x + 1 lies in x1*G_e,
+    x1 a root of A_1, and x satisfies A_2..A_n.  Cost: one or two roots, the
+    walk (no e-element list), for n >= 1 a set of x1*G_e, and n - 1
+    exponentiations per survivor.  TooLarge above e = EXHAUSTIVE_CAP.
+    """
+    p, e = ctx.p, params.e
+    answers = [a % p for a in answers]
+    if not answers:
+        raise LengthMismatch("no answers")
+    n = len(answers) - 1
+
+    def verifies(x, js):
+        return all(pow((x + j) % p, e, p) == answers[j] for j in js)
+
+    for j, aj in enumerate(answers):
+        if aj == 0:
+            x = (-j) % p
+            return (x,) if verifies(x, range(n + 1)) else ()
+    if any(pow(a, params.d, p) != 1 for a in answers[:2]):
+        return ()
+    if e > EXHAUSTIVE_CAP:
+        raise TooLarge(f"e={e} above the exhaustive cap {EXHAUSTIVE_CAP}")
+    h = _root_plan(ctx, params).h
+    roots = _coset_walk(_one_root(ctx, params, answers[0]), h, e, p)
+    if n == 0:
+        return tuple(sorted(roots))
+    # x + 1 needs no reduction: it is at most p, and 0 lies in no coset
+    shifted = set(_coset_walk(_one_root(ctx, params, answers[1]), h, e, p))
+    return tuple(
+        sorted(x for x in roots if x + 1 in shifted and verifies(x, range(2, n + 1)))
+    )
 
 
 @functools.lru_cache(maxsize=64)
@@ -275,27 +313,21 @@ def _is_power(p: int, ell: int, w: int) -> bool:
 def all_eth_roots(
     ctx: PrimeContext, params: ExponentParams, A: int, witnesses: WitnessSet
 ) -> tuple[int, ...]:
-    """The complete solution set of x^e = A: empty, {0}, or a coset of G_e.
+    """The complete solution set of x^e = A: empty, {0}, or a coset of G_e
+    (`consecutive_roots` with n = 0).
 
-    One root by Pohlig-Hellman (`_one_root`), then the coset x0 * h^j with
-    h = g^d: a fixed number of exponentiations, e multiplications and the
-    sort.  The witnesses are checked, not used: every prime of e needs one,
-    and it must be an ell-th power nonresidue.
+    The witnesses are checked, not used: every prime of e needs one, and,
+    once A is a nonzero e-th power, it must be an ell-th power nonresidue.
     """
-    p = ctx.p
     if not witnesses.covers(params.e_factors):
         raise IncompleteWitnesses("missing a prime of e")
-    A %= p
-    if A == 0:
-        return (0,)
-    if pow(A, params.d, p) != 1:
-        return ()
-    for ell, _ in params.e_factors:
-        w = witnesses.witness(ell)
-        if _is_power(p, ell, w):
-            raise BadWitness(f"witness {w} is an {ell}-th power mod {p}")
-    x0 = _one_root(ctx, params, A)
-    return tuple(sorted(_coset(x0, _root_plan(ctx, params).h, params.e, p)))
+    roots = consecutive_roots(ctx, params, (A,))
+    if roots and roots[0]:  # A is a nonzero e-th power
+        for ell, _ in params.e_factors:
+            w = witnesses.witness(ell)
+            if _is_power(ctx.p, ell, w):
+                raise BadWitness(f"witness {w} is an {ell}-th power mod {ctx.p}")
+    return roots
 
 
 def restricted_roots(
@@ -374,44 +406,13 @@ def candidates_from_consecutive_powers(
     witnesses: WitnessSet,
     answers,
 ) -> tuple[int, ...]:
-    """Exact solution set of (x+j)^e = A_j for j = 0..n, sorted ascending.
-
-    With no zero answer, the solutions are the x in x0*G_e with x + 1 in
-    x1*G_e, where x0 and x1 are one root each of A_0 and A_1, that also
-    satisfy A_2..A_n.  Cost: two roots (`_one_root`), a set of the e
-    elements of x1*G_e, one walk over x0*G_e with a lookup each, and
-    n - 1 exponentiations per survivor.  The paper's pigeonhole on
-    indices mod n (some pair j1 < j2 has a quotient y with n | ind y) finds
-    the same set through n(n+1)/2 restricted descents
-    (`roots_with_index_divisibility`), which is no cheaper on any cell
-    measured, from p = 101 to 2^61 - 1.  The witnesses fix n and must cover
-    every prime of e.
+    """`consecutive_roots` with n fixed by the witnesses, which must cover
+    every prime of e.  The paper's pigeonhole on indices mod n finds the same
+    set through n(n+1)/2 restricted descents (`roots_with_index_divisibility`),
+    which is no cheaper on any cell measured, from p = 101 to 2^61 - 1.
     """
-    p, e = ctx.p, params.e
-    n = witnesses.n
     if not witnesses.covers(params.e_factors):
         raise IncompleteWitnesses("missing a prime of e")
-    answers = [a % p for a in answers]
-    if len(answers) != n + 1:
-        raise LengthMismatch(f"expected {n + 1} answers, got {len(answers)}")
-
-    def verifies(x, js):
-        return all(pow((x + j) % p, e, p) == answers[j] for j in js)
-
-    for j, aj in enumerate(answers):
-        if aj == 0:
-            x = (-j) % p
-            return (x,) if verifies(x, range(n + 1)) else ()
-    a0, a1 = answers[0], answers[1]
-    if pow(a0, params.d, p) != 1 or pow(a1, params.d, p) != 1:
-        return ()
-    h = _root_plan(ctx, params).h
-    # x + 1 needs no reduction: it is at most p, and 0 lies in no coset
-    shifted = set(_coset(_one_root(ctx, params, a1), h, e, p))
-    return tuple(
-        sorted(
-            x
-            for x in _coset(_one_root(ctx, params, a0), h, e, p)
-            if x + 1 in shifted and verifies(x, range(2, n + 1))
-        )
-    )
+    if len(answers) != witnesses.n + 1:
+        raise LengthMismatch(f"expected {witnesses.n + 1} answers, got {len(answers)}")
+    return consecutive_roots(ctx, params, answers)

@@ -6,6 +6,9 @@ Strategies, all honest oracle clients:
  - smooth pigeonhole initial candidates (n+1 calls)
  - randomized probing (seeded, mean O(1) calls)
  - large-e variant (m consecutive calls, global scan, then narrowing)
+
+`recover` runs any of them by name.  A candidate set is a sorted tuple of
+shifts.
 """
 
 from __future__ import annotations
@@ -14,10 +17,11 @@ import collections
 import functools
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
-from .errors import Stalled, TooLargeForScan
+from .errors import ConfigError, Stalled, TooLarge, TooLargeForScan
 from .field_core import (
+    EXHAUSTIVE_CAP,
     ExponentParams,
     PrimeContext,
     mod_inv,
@@ -33,30 +37,27 @@ from .root_solver import (
 
 FINAL_SET_THRESHOLD = 4  # resolve by x = -t queries at or below this size
 SCAN_CAP = 10**7  # largest p for which a full-field scan is allowed
+STALL_FACTOR = 2  # a probe window that certifies no shrinkage grows by this
 
-
-@dataclass(frozen=True)
-class CandidateSet:
-    members: tuple[int, ...]  # sorted
-    provenance: str  # zero-call roots | smooth pigeonhole | global scan | narrowed
-
-    def __len__(self):
-        return len(self.members)
+ALGORITHMS = (
+    "interpolation",
+    "zero_call_narrow",
+    "smooth_narrow",
+    "randomized",
+    "large_e",
+)
 
 
 @dataclass(frozen=True)
 class ProbePolicy:
     epsilon: float = 0.05
     window_cap: int | None = None  # default p-1 at use sites
-    stall_factor: int = 2
     max_rounds: int = 64
     initial_window: int = 4
 
     def __post_init__(self):
         if not (0 < self.epsilon < 0.5):
             raise ValueError("epsilon must lie in (0, 1/2)")
-        if self.stall_factor < 2:
-            raise ValueError("stall_factor must be >= 2")
 
 
 @dataclass
@@ -64,7 +65,6 @@ class RecoveryTrace:
     """Per-round bookkeeping for reports."""
 
     rounds: list = field(default_factory=list)  # (stat, probe_x, size_before, size_after)
-    final_queries: int = 0
 
 
 def _cap(policy: ProbePolicy, p: int) -> int:
@@ -72,9 +72,12 @@ def _cap(policy: ProbePolicy, p: int) -> int:
 
 
 def interpolation_recover(oracle: ShiftOracle) -> int:
-    """Query x = 0..e and read s off the X^(e-1) coefficient of (X+s)^e."""
+    """Query x = 0..e and read s off the X^(e-1) coefficient of (X+s)^e;
+    TooLarge above e = EXHAUSTIVE_CAP."""
     p = oracle.ctx.p
     e = oracle.params.e
+    if e > EXHAUSTIVE_CAP:
+        raise TooLarge(f"e={e} above the exhaustive cap {EXHAUSTIVE_CAP}")
     answers = [oracle.query(x) for x in range(e + 1)]
     weights = _interp_weights(p, e)
     c_top = sum(a * w for a, w in zip(answers, weights)) % p
@@ -105,13 +108,9 @@ def _interp_weights(p: int, e: int) -> tuple[int, ...]:
 
 def initial_candidates_zero_call(
     oracle: ShiftOracle, witnesses: WitnessSet
-) -> CandidateSet:
+) -> tuple[int, ...]:
     """One call at x = 0; S_0 is the full e-th root set of the answer."""
-    a0 = oracle.query(0)
-    if a0 == 0:
-        return CandidateSet((0,), "zero-call roots")
-    roots = all_eth_roots(oracle.ctx, oracle.params, a0, witnesses)
-    return CandidateSet(roots, "zero-call roots")
+    return all_eth_roots(oracle.ctx, oracle.params, oracle.query(0), witnesses)
 
 
 @functools.lru_cache(maxsize=64)
@@ -142,15 +141,14 @@ def smooth_witnesses(ctx: PrimeContext, params: ExponentParams, epsilon: float) 
 
 def initial_candidates_smooth(
     oracle: ShiftOracle, epsilon: float = 0.05
-) -> tuple[CandidateSet, WitnessSet]:
+) -> tuple[tuple[int, ...], WitnessSet]:
     """n+1 calls at x = 0..n with n from smooth witnesses; exact pigeonhole set."""
     wits = smooth_witnesses(oracle.ctx, oracle.params, epsilon)
-    n = wits.n
-    answers = [oracle.query(x) for x in range(n + 1)]
+    answers = [oracle.query(x) for x in range(wits.n + 1)]
     cands = candidates_from_consecutive_powers(
         oracle.ctx, oracle.params, wits, answers
     )
-    return CandidateSet(cands, "smooth pigeonhole"), wits
+    return cands, wits
 
 
 def _zeta(ctx: PrimeContext) -> int:
@@ -195,11 +193,11 @@ def collision_stat_R(
 
 def narrow_candidates(
     oracle: ShiftOracle,
-    S: CandidateSet,
+    S: tuple[int, ...],
     policy: ProbePolicy,
     stat: str,
     trace: RecoveryTrace | None = None,
-) -> CandidateSet:
+) -> tuple[int, ...]:
     """One narrowing round: scan a probe window, query, filter.
 
     The probe is the smallest x minimizing the statistic; the window doubles
@@ -210,8 +208,7 @@ def narrow_candidates(
     ctx, params = oracle.ctx, oracle.params
     p, e = ctx.p, params.e
     cap = _cap(policy, p)
-    members = S.members
-    size = len(members)
+    size = len(S)
     h = min(max(policy.initial_window, 1), cap)
     stat_fn = _stat_r if stat == "r" else _stat_R
     certify = size if stat == "r" else size * (size - 1)
@@ -225,7 +222,7 @@ def narrow_candidates(
             zx = zeta * x % p if stat == "r" else None
             if zx is not None and zx in oracle.forbidden:
                 continue
-            keys = _probe_keys(p, e, members, x, zx)
+            keys = _probe_keys(p, e, S, x, zx)
             v = stat_fn(keys)
             if best_val is None or v < best_val:
                 best_val, best_x, best_keys = v, x, keys
@@ -236,14 +233,14 @@ def narrow_candidates(
         scanned = h
         if h >= cap:
             raise Stalled(f"window cap {cap} reached without shrinkage")
-        h = min(h * policy.stall_factor, cap)
+        h = min(h * STALL_FACTOR, cap)
     want = oracle.query(best_x)
     if stat == "r":
         want = want * p + oracle.query(zeta * best_x % p)
-    kept = tuple(t for t, key in zip(members, best_keys) if key == want)
+    kept = tuple(t for t, key in zip(S, best_keys) if key == want)
     if trace is not None:
         trace.rounds.append((stat, best_x, size, len(kept)))
-    return CandidateSet(kept, "narrowed")
+    return kept
 
 
 def _resolve_small(oracle: ShiftOracle, S, trace: RecoveryTrace | None) -> int:
@@ -260,8 +257,6 @@ def _resolve_small(oracle: ShiftOracle, S, trace: RecoveryTrace | None) -> int:
     if not unqueried and testable:
         unqueried.append(testable.pop())  # the last candidate is free
     for t in testable:
-        if trace is not None:
-            trace.final_queries += 1
         if oracle.query((-t) % p) == 0:
             return t
     if len(unqueried) == 1:
@@ -273,7 +268,7 @@ def _resolve_small(oracle: ShiftOracle, S, trace: RecoveryTrace | None) -> int:
 
 def recover_from_candidates(
     oracle: ShiftOracle,
-    S0: CandidateSet,
+    S0: tuple[int, ...],
     policy: ProbePolicy = ProbePolicy(),
     trace: RecoveryTrace | None = None,
 ) -> int:
@@ -284,7 +279,7 @@ def recover_from_candidates(
     probe rules out more than one candidate: resolve directly.
     """
     if oracle.params.d == 1:
-        return _resolve_small(oracle, S0.members, trace)
+        return _resolve_small(oracle, S0, trace)
     p = oracle.ctx.p
     S = S0
     rounds = 0
@@ -295,7 +290,7 @@ def recover_from_candidates(
         rounds += 1
         if rounds > policy.max_rounds:
             raise Stalled(f"no resolution within {policy.max_rounds} rounds")
-    return _resolve_small(oracle, S.members, trace)
+    return _resolve_small(oracle, S, trace)
 
 
 def recover_zero_call_narrow(
@@ -324,7 +319,7 @@ def randomized_probe_count(p: int, e: int) -> int:
 
 def recover_randomized(
     oracle: ShiftOracle,
-    S0: CandidateSet,
+    S0: tuple[int, ...],
     seed: int,
     trace: RecoveryTrace | None = None,
 ) -> int:
@@ -336,11 +331,11 @@ def recover_randomized(
     """
     ctx, params = oracle.ctx, oracle.params
     if params.d == 1:
-        return _resolve_small(oracle, S0.members, trace)
+        return _resolve_small(oracle, S0, trace)
     p, e = ctx.p, params.e
     nu = randomized_probe_count(p, e)
     rng = random.Random(seed)
-    S = set(S0.members)
+    S = set(S0)
     for _ in range(nu):
         if len(S) <= 1:
             break
@@ -361,7 +356,7 @@ def large_e_call_count(p: int, e: int) -> int:
 
 def _scan_candidates(
     oracle: ShiftOracle, trace: RecoveryTrace | None = None
-) -> CandidateSet | int:
+) -> tuple[int, ...] | int:
     """m consecutive queries then a full-field scan; returns the shift
     directly when some answer is zero."""
     ctx, params = oracle.ctx, oracle.params
@@ -383,7 +378,7 @@ def _scan_candidates(
     )
     if trace is not None:
         trace.rounds.append(("scan", m, p, len(members)))
-    return CandidateSet(members, "global scan")
+    return members
 
 
 def recover_large_e(
@@ -402,11 +397,30 @@ def recover_large_e(
         return got
     h = int((p / e) * math.sqrt(p) * math.log(p) ** 2)
     window = max(1, min(h, _cap(policy, p)))
-    wide = ProbePolicy(
-        epsilon=policy.epsilon,
-        window_cap=policy.window_cap,
-        stall_factor=policy.stall_factor,
-        max_rounds=policy.max_rounds,
-        initial_window=window,
-    )
+    wide = replace(policy, initial_window=window)
     return recover_from_candidates(oracle, got, wide, trace)
+
+
+def recover(
+    oracle: ShiftOracle,
+    algorithm: str,
+    policy: ProbePolicy = ProbePolicy(),
+    seed: int = 0,
+    trace: RecoveryTrace | None = None,
+) -> int:
+    """Recover the shift with the algorithm named `algorithm`, one of
+    ALGORITHMS; `seed` is read by `randomized` only, and `interpolation`
+    reads neither `policy` nor `trace`.  ConfigError for any other name."""
+    if algorithm == "interpolation":
+        return interpolation_recover(oracle)
+    if algorithm == "zero_call_narrow":
+        return recover_zero_call_narrow(oracle, policy, trace)
+    if algorithm == "smooth_narrow":
+        return recover_smooth_narrow(oracle, policy, trace)
+    if algorithm == "randomized":
+        wits = full_witness_set(oracle.ctx, oracle.params)
+        S0 = initial_candidates_zero_call(oracle, wits)
+        return recover_randomized(oracle, S0, seed, trace)
+    if algorithm == "large_e":
+        return recover_large_e(oracle, policy, trace)
+    raise ConfigError(f"unknown algorithm {algorithm!r}")

@@ -1,12 +1,16 @@
 import argparse
 import io
 import json
+import os
+import resource
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from shiftbreak import cli
+from shiftbreak import shift_recovery as sr
 
 
 def run_main(argv):
@@ -297,6 +301,8 @@ def test_usage_error_and_help_leave_the_parser_unchanged():
         (["lab", "--lemma", "psi"], [{"x": 0, "y": 3}]),
         (["lab", "--lemma", "energy"], [{"p": 13, "a": 0, "H": -2}]),
         (["lab", "--lemma", "hyperbola"], [{"p": 13, "u": 0, "v": 5, "H": 0}]),
+        # no trial would reach the algorithm, so its name is never checked
+        (["recover", "--p", "13", "--e", "3", "--trials", "0", "--algorithm", "nope"], None),
     ],
 )
 def test_out_of_range_value_is_config_error(tmp_path, capsys, argv, grid):
@@ -398,3 +404,28 @@ def test_console_script_installed():
     )
     assert out.returncode == 0
     assert json.loads(out.stdout.strip())["recovered"] == 5
+
+
+def _limit_address_space_to_1_gib():
+    resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+
+@pytest.mark.parametrize("algorithm", sr.ALGORITHMS)
+def test_e_above_the_cap_exits_4_under_1_gib(algorithm):
+    # e = (p-1)/2 is a 39-bit prime: each algorithm stops with a typed
+    # resource cap, not a MemoryError (exit 1) or e + 1 queries
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    out = subprocess.run(
+        [sys.executable, "-m", "shiftbreak.cli", "recover", "--p", "1099511628443",
+         "--e", "549755814221", "--algorithm", algorithm],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+        preexec_fn=_limit_address_space_to_1_gib,
+    )
+    assert out.returncode == 4, out.stderr
+    assert out.stdout == ""
+    assert out.stderr.startswith("resource cap:"), out.stderr

@@ -12,6 +12,7 @@ from shiftbreak.errors import (
     IncompleteWitnesses,
     LengthMismatch,
     NotCoprime,
+    TooLarge,
 )
 
 PRIMES = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 53, 61, 73, 97]
@@ -397,10 +398,10 @@ def prop_all_roots_verify(p, seed):
 test_prop_all_roots_verify = prop_all_roots_verify
 
 
-def root_filter_candidates(ctx, params, wits, answers):
+def root_filter_candidates(ctx, params, answers):
     """The e-root filter: every root of A_0 (by the witness descent), kept
     when it satisfies A_1..A_n.  A reference for the coset intersection."""
-    p, n = ctx.p, wits.n
+    p, n = ctx.p, len(answers) - 1
     answers = [a % p for a in answers]
     for j, aj in enumerate(answers):
         if aj == 0:
@@ -447,7 +448,7 @@ def test_coset_intersection_matches_root_filter_below_300():
                     continue
                 for s, answers in pigeonhole_cases(rng, p, e, wits.n):
                     got = rs.candidates_from_consecutive_powers(ctx, params, wits, answers)
-                    assert got == root_filter_candidates(ctx, params, wits, answers), (
+                    assert got == root_filter_candidates(ctx, params, answers), (
                         p,
                         e,
                         answers,
@@ -466,8 +467,57 @@ def test_coset_intersection_matches_root_filter_at_large_p():
             for wits in (rs.full_witness_set(ctx, params), sr.smooth_witnesses(ctx, params, 0.05)):
                 for s, answers in pigeonhole_cases(rng, p, e, wits.n):
                     got = rs.candidates_from_consecutive_powers(ctx, params, wits, answers)
-                    assert got == root_filter_candidates(ctx, params, wits, answers)
+                    assert got == root_filter_candidates(ctx, params, answers)
                     assert s is None or s in got
+
+
+def test_consecutive_roots_match_brute_force_below_300():
+    # n = 0 is the zero-call root set, n >= 1 the pigeonhole, for any n
+    rng = random.Random(299)
+    checked = 0
+    for p in (q for q in range(3, 300) if fc.is_prime(q)):
+        ctx = fc.make_context(p)
+        for e in divisors(p - 1):
+            params = fc.make_params(ctx, e)
+            for n in range(4):
+                for s, answers in pigeonhole_cases(rng, p, e, n):
+                    got = rs.consecutive_roots(ctx, params, answers)
+                    brute = tuple(
+                        x
+                        for x in range(p)
+                        if all(pow(x + j, e, p) == a for j, a in enumerate(answers))
+                    )
+                    assert got == brute == root_filter_candidates(ctx, params, answers), (
+                        p,
+                        e,
+                        answers,
+                    )
+                    assert s is None or s in got
+                    checked += 1
+    assert checked > 20000
+
+
+def test_consecutive_roots_need_an_answer():
+    ctx = fc.make_context(13)
+    with pytest.raises(LengthMismatch):
+        rs.consecutive_roots(ctx, fc.make_params(ctx, 3), ())
+
+
+def test_consecutive_roots_cap_e_before_the_walk():
+    # e = (p-1)/2 is a 39-bit prime; the nonzero e-th powers are 1 and -1
+    ctx = fc.make_context(1099511628443)
+    params = fc.make_params(ctx, 549755814221)
+    assert params.e > fc.EXHAUSTIVE_CAP
+    wits = rs.full_witness_set(ctx, params)
+    for answers in ((1,), (1, ctx.p - 1)):
+        with pytest.raises(TooLarge):
+            rs.consecutive_roots(ctx, params, answers)
+    with pytest.raises(TooLarge):
+        rs.all_eth_roots(ctx, params, ctx.p - 1, wits)
+    # a zero answer or a non-power needs no walk; (-1)^e = -1
+    assert rs.all_eth_roots(ctx, params, 0, wits) == (0,)
+    assert rs.consecutive_roots(ctx, params, (ctx.p - 1, 0)) == (ctx.p - 1,)
+    assert rs.consecutive_roots(ctx, params, (2, 1)) == ()
 
 
 def divisors_up_to(ctx, bound):

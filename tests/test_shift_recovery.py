@@ -5,7 +5,7 @@ import pytest
 
 from shiftbreak import field_core as fc
 from shiftbreak import shift_recovery as sr
-from shiftbreak.errors import Stalled
+from shiftbreak.errors import ConfigError, Stalled, TooLarge
 from shiftbreak.oracle import new_oracle
 from shiftbreak.root_solver import full_witness_set
 
@@ -42,6 +42,14 @@ def test_interpolation_exhaustive_small():
                 assert o.calls == e + 1
 
 
+def test_interpolation_caps_e_before_querying():
+    o = make(1099511628443, 549755814221, 5)
+    assert o.params.e > fc.EXHAUSTIVE_CAP
+    with pytest.raises(TooLarge):
+        sr.interpolation_recover(o)
+    assert o.calls == 0
+
+
 def _interp_weights_by_products(p, e):
     """O(e^2) reference: w_i = -(sum of the nodes j != i) / prod_{j != i} (i - j)."""
     nodes = range(e + 1)
@@ -65,16 +73,16 @@ def test_zero_call_candidates_examples():
     o = make(13, 3, 5)
     wits = full_witness_set(o.ctx, o.params)
     S = sr.initial_candidates_zero_call(o, wits)
-    assert S.members == (2, 5, 6)
+    assert S == (2, 5, 6)
     assert o.calls == 1
 
     o = make(13, 3, 0)
     S = sr.initial_candidates_zero_call(o, full_witness_set(o.ctx, o.params))
-    assert S.members == (0,)
+    assert S == (0,)
 
     o = make(13, 4, 1)
     S = sr.initial_candidates_zero_call(o, full_witness_set(o.ctx, o.params))
-    assert S.members == (1, 5, 8, 12)
+    assert S == (1, 5, 8, 12)
 
 
 def test_smooth_witnesses_gamma_depends_on_y():
@@ -97,7 +105,7 @@ def test_smooth_candidates_contain_secret():
             for s in range(0, p, 3):
                 o = make(p, e, s)
                 S, wits = sr.initial_candidates_smooth(o, 0.05)
-                assert s in S.members
+                assert s in S
                 assert o.calls == wits.n + 1
 
 
@@ -141,14 +149,13 @@ def test_collision_stat_R_brute_force():
 
 def test_narrow_candidates_pinned_cases():
     o = make(13, 3, 5)
-    S = sr.CandidateSet((2, 5, 6), "zero-call roots")
-    T = sr.narrow_candidates(o, S, sr.ProbePolicy(), "R")
-    assert T.members == (5,)
+    T = sr.narrow_candidates(o, (2, 5, 6), sr.ProbePolicy(), "R")
+    assert T == (5,)
     assert o.calls == 1
 
     o = make(13, 3, 5)
-    T = sr.narrow_candidates(o, sr.CandidateSet((4, 5), "narrowed"), sr.ProbePolicy(), "r")
-    assert T.members == (5,)
+    T = sr.narrow_candidates(o, (4, 5), sr.ProbePolicy(), "r")
+    assert T == (5,)
     assert o.calls == 2
 
 
@@ -166,7 +173,7 @@ def stat_reference_narrow(o, S, policy, stat):
         for x in range(scanned, h):
             if x in o.forbidden or (stat == "r" and zeta * x % p in o.forbidden):
                 continue
-            v = stat_fn(o.ctx, o.params, S.members, x)
+            v = stat_fn(o.ctx, o.params, S, x)
             if best is None or v < best[0]:
                 best = (v, x)
                 if v == 0 or (stat == "r" and v == 1):
@@ -175,14 +182,14 @@ def stat_reference_narrow(o, S, policy, stat):
             break
         if h >= p - 1:
             raise Stalled("window cap reached")
-        scanned, h = h, min(h * policy.stall_factor, p - 1)
+        scanned, h = h, min(h * sr.STALL_FACTOR, p - 1)
     x = best[1]
     a1 = o.query(x)
     if stat == "r":
         a2 = o.query(zeta * x % p)
-        kept = [t for t in S.members if pow(t + x, e, p) == a1 and pow(t + zeta * x, e, p) == a2]
+        kept = [t for t in S if pow(t + x, e, p) == a1 and pow(t + zeta * x, e, p) == a2]
     else:
-        kept = [t for t in S.members if pow(t + x, e, p) == a1]
+        kept = [t for t in S if pow(t + x, e, p) == a1]
     return x, tuple(kept)
 
 
@@ -206,7 +213,7 @@ def test_narrowing_matches_the_statistic_reference():
                         trace = sr.RecoveryTrace()
                         got = sr.narrow_candidates(o, S, sr.ProbePolicy(), stat, trace)
                         want = stat_reference_narrow(ref, S, sr.ProbePolicy(), stat)
-                        assert (trace.rounds[0][1], got.members) == want
+                        assert (trace.rounds[0][1], got) == want
                         assert o.calls == ref.calls
                         rounds += 1
                     S = got
@@ -220,7 +227,7 @@ def test_recover_from_candidates_example():
     assert sr.recover_from_candidates(o, S0) == 5
 
     o = make(13, 3, 5)
-    assert sr.recover_from_candidates(o, sr.CandidateSet((5,), "narrowed")) == 5
+    assert sr.recover_from_candidates(o, (5,)) == 5
     assert o.calls == 0  # singleton resolves free
 
 
@@ -235,12 +242,12 @@ def test_monotone_shrinkage_with_secret_retained():
                 o = make(p, e, s)
                 wits = full_witness_set(o.ctx, o.params)
                 S = sr.initial_candidates_zero_call(o, wits)
-                assert s in S.members
+                assert s in S
                 while len(S) > 1:
                     stat = "r" if len(S) > p**0.05 else "R"
                     T = sr.narrow_candidates(o, S, sr.ProbePolicy(), stat)
                     assert len(T) < len(S)
-                    assert unsafe_reveal_secret(o) in T.members
+                    assert unsafe_reveal_secret(o) in T
                     S = T
 
 
@@ -306,19 +313,13 @@ def test_smooth_narrow_recovers():
 def test_probe_policy_validation():
     with pytest.raises(ValueError):
         sr.ProbePolicy(epsilon=0.7)
-    with pytest.raises(ValueError):
-        sr.ProbePolicy(stall_factor=1)
 
 
-def _recover(algorithm, o, seed):
-    if algorithm == "zero_call_narrow":
-        return sr.recover_zero_call_narrow(o)
-    if algorithm == "smooth_narrow":
-        return sr.recover_smooth_narrow(o)
-    if algorithm == "large_e":
-        return sr.recover_large_e(o)
-    S0 = sr.initial_candidates_zero_call(o, full_witness_set(o.ctx, o.params))
-    return sr.recover_randomized(o, S0, seed)
+def test_recover_runs_every_algorithm_by_name():
+    for algorithm in sr.ALGORITHMS:
+        assert sr.recover(make(13, 3, 5), algorithm, seed=1) == 5
+    with pytest.raises(ConfigError):
+        sr.recover(make(13, 3, 5), "nope")
 
 
 def _calls_per_shift(algorithm, p, e):
@@ -326,7 +327,7 @@ def _calls_per_shift(algorithm, p, e):
     calls = []
     for s in range(p):
         o = make(p, e, s)
-        assert _recover(algorithm, o, s + 1) == s, (algorithm, p, e, s)
+        assert sr.recover(o, algorithm, seed=s + 1) == s, (algorithm, p, e, s)
         calls.append(o.calls)
     return calls
 
@@ -368,7 +369,7 @@ def test_planted_shifts_at_large_p(no_power_table, p, exponents):
             s = rng.randrange(p)
             for algorithm in CANDIDATE_SET_ALGORITHMS:
                 o = new_oracle(ctx, params, s)
-                got = _recover(algorithm, o, rng.randrange(2**32))
+                got = sr.recover(o, algorithm, seed=rng.randrange(2**32))
                 assert got == s, (algorithm, p, e, s)
 
 
