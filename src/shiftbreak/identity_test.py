@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 
 from .bounds_lab import LOOP_CAP, longest_coset_run
-from .errors import MismatchedParams, RangeViolation, TooLarge
+from .errors import MismatchedParams, OutOfRange, RangeViolation, TooLarge
 from .field_core import ExponentParams, PrimeContext, power_table
 from .oracle import ShiftOracle
 
@@ -36,6 +36,8 @@ class HPolicy:
             raise ValueError("epsilon must be positive")
         if self.mode not in ("exact", "theoretical"):
             raise ValueError(f"unknown mode {self.mode!r}")
+        if self.cap is not None and self.cap < 1:
+            raise ValueError("window cap must be at least 1")
 
 
 def _cap(policy: HPolicy, p: int) -> int:
@@ -94,9 +96,12 @@ def choose_h(
 def test_known_t(
     oracle_s: ShiftOracle, t: int, policy: HPolicy = HPolicy()
 ) -> str:
-    """Probe x = 1/y - t for y = 1..h; distinct on the first mismatch."""
+    """Probe x = 1/y - t for y = 1..h; distinct on the first mismatch.
+    OutOfRange unless 0 <= t < p, as the oracle checks s."""
     ctx, params = oracle_s.ctx, oracle_s.params
     p, e = ctx.p, params.e
+    if not (0 <= t < p):
+        raise OutOfRange(f"t={t} outside [0, {p})")
     h = choose_h(ctx, params, "known_t", policy)
     for y in range(1, h + 1):
         x = (pow(y, -1, p) - t) % p

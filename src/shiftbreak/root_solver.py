@@ -275,7 +275,10 @@ def consecutive_roots(
     of A_0 (`_one_root`), and for n >= 1 is kept when x + 1 lies in x1*G_e,
     x1 a root of A_1, and x satisfies A_2..A_n.  Cost: one or two roots, the
     walk (no e-element list), for n >= 1 a set of x1*G_e, and n - 1
-    exponentiations per survivor.  TooLarge above e = EXHAUSTIVE_CAP.
+    exponentiations per survivor.  At d = 1, G_e = F_p^* and every nonzero
+    e-th power is 1: the set is x = 1..p-n-1 (no x + j = 0) when every
+    answer is 1 and empty otherwise, with no root, walk or power.  TooLarge
+    above e = EXHAUSTIVE_CAP.
     """
     p, e = ctx.p, params.e
     answers = [a % p for a in answers]
@@ -294,6 +297,8 @@ def consecutive_roots(
         return ()
     if e > EXHAUSTIVE_CAP:
         raise TooLarge(f"e={e} above the exhaustive cap {EXHAUSTIVE_CAP}")
+    if params.d == 1:
+        return tuple(range(1, p - n)) if all(a == 1 for a in answers) else ()
     h = _root_plan(ctx, params).h
     roots = _coset_walk(_one_root(ctx, params, answers[0]), h, e, p)
     if n == 0:

@@ -58,6 +58,8 @@ class ProbePolicy:
     def __post_init__(self):
         if not (0 < self.epsilon < 0.5):
             raise ValueError("epsilon must lie in (0, 1/2)")
+        if self.window_cap is not None and self.window_cap < 1:
+            raise ValueError("window cap must be at least 1")
 
 
 @dataclass
@@ -197,6 +199,7 @@ def narrow_candidates(
     policy: ProbePolicy,
     stat: str,
     trace: RecoveryTrace | None = None,
+    agreed: set[int] | None = None,
 ) -> tuple[int, ...]:
     """One narrowing round: scan a probe window, query, filter.
 
@@ -204,6 +207,12 @@ def narrow_candidates(
     while no probe certifies strict shrinkage.  The chosen probe's predicted
     answers are kept from the scan and filter the set, so no power is
     computed twice.
+
+    `agreed` holds points at which every member of S is known to predict the
+    same answer.  A probe whose points (x for R, x and zeta*x for r) all lie
+    there has the certify value as its statistic and can never be chosen,
+    so it is skipped without computing a power; the points this round
+    queries are added to `agreed`.
     """
     ctx, params = oracle.ctx, oracle.params
     p, e = ctx.p, params.e
@@ -213,6 +222,8 @@ def narrow_candidates(
     stat_fn = _stat_r if stat == "r" else _stat_R
     certify = size if stat == "r" else size * (size - 1)
     zeta = _zeta(ctx)
+    if agreed is None:
+        agreed = set()
     scanned = 0
     while True:
         best_val, best_x, best_keys = None, None, None
@@ -221,6 +232,8 @@ def narrow_candidates(
                 continue
             zx = zeta * x % p if stat == "r" else None
             if zx is not None and zx in oracle.forbidden:
+                continue
+            if x in agreed and (zx is None or zx in agreed):
                 continue
             keys = _probe_keys(p, e, S, x, zx)
             v = stat_fn(keys)
@@ -234,9 +247,11 @@ def narrow_candidates(
         if h >= cap:
             raise Stalled(f"window cap {cap} reached without shrinkage")
         h = min(h * STALL_FACTOR, cap)
+    queried = (best_x,) if stat == "R" else (best_x, zeta * best_x % p)
     want = oracle.query(best_x)
     if stat == "r":
-        want = want * p + oracle.query(zeta * best_x % p)
+        want = want * p + oracle.query(queried[1])
+    agreed.update(queried)
     kept = tuple(t for t, key in zip(S, best_keys) if key == want)
     if trace is not None:
         trace.rounds.append((stat, best_x, size, len(kept)))
@@ -271,9 +286,15 @@ def recover_from_candidates(
     S0: tuple[int, ...],
     policy: ProbePolicy = ProbePolicy(),
     trace: RecoveryTrace | None = None,
+    agreed=(),
 ) -> int:
     """Iterated narrowing, r-statistic while the set is large, then R, then
     final resolution through x = -t queries.
+
+    `agreed` lists the points S0 was built from (every member predicts the
+    oracle's answer there); with the points each round queries, they are
+    the probes `narrow_candidates` skips.  At most `policy.max_rounds`
+    rounds run: Stalled before a round beyond them would start.
 
     At d = (p-1)/e = 1 every answer except the one at x = -s is 1, so no
     probe rules out more than one candidate: resolve directly.
@@ -282,14 +303,15 @@ def recover_from_candidates(
         return _resolve_small(oracle, S0, trace)
     p = oracle.ctx.p
     S = S0
+    agreed = set(agreed)
     rounds = 0
     threshold = p**0.05
     while len(S) > FINAL_SET_THRESHOLD:
-        stat = "r" if len(S) > threshold else "R"
-        S = narrow_candidates(oracle, S, policy, stat, trace)
-        rounds += 1
-        if rounds > policy.max_rounds:
+        if rounds >= policy.max_rounds:
             raise Stalled(f"no resolution within {policy.max_rounds} rounds")
+        stat = "r" if len(S) > threshold else "R"
+        S = narrow_candidates(oracle, S, policy, stat, trace, agreed)
+        rounds += 1
     return _resolve_small(oracle, S, trace)
 
 
@@ -300,7 +322,7 @@ def recover_zero_call_narrow(
 ) -> int:
     wits = full_witness_set(oracle.ctx, oracle.params)
     S0 = initial_candidates_zero_call(oracle, wits)
-    return recover_from_candidates(oracle, S0, policy, trace)
+    return recover_from_candidates(oracle, S0, policy, trace, (0,))
 
 
 def recover_smooth_narrow(
@@ -308,8 +330,8 @@ def recover_smooth_narrow(
     policy: ProbePolicy = ProbePolicy(),
     trace: RecoveryTrace | None = None,
 ) -> int:
-    S0, _ = initial_candidates_smooth(oracle, policy.epsilon)
-    return recover_from_candidates(oracle, S0, policy, trace)
+    S0, wits = initial_candidates_smooth(oracle, policy.epsilon)
+    return recover_from_candidates(oracle, S0, policy, trace, range(wits.n + 1))
 
 
 def randomized_probe_count(p: int, e: int) -> int:
@@ -357,8 +379,13 @@ def large_e_call_count(p: int, e: int) -> int:
 def _scan_candidates(
     oracle: ShiftOracle, trace: RecoveryTrace | None = None
 ) -> tuple[int, ...] | int:
-    """m consecutive queries then a full-field scan; returns the shift
-    directly when some answer is zero."""
+    """m consecutive queries at x = 1..m, then the x with (x + j)^e = A_j for
+    every j; returns the shift directly when some answer is zero.
+
+    At d = 1 every nonzero e-th power is 1, so the set is x = 0..p-m-1 (the
+    x with no x + j = 0) when every answer is 1, in O(p) tuple building and
+    no power; otherwise a full-field scan of a `power_table`.
+    """
     ctx, params = oracle.ctx, oracle.params
     p = ctx.p
     if p > SCAN_CAP:
@@ -370,12 +397,15 @@ def _scan_candidates(
         if a == 0:
             return (-j) % p
         answers.append(a)
-    tab = power_table(p, params.e)
-    members = tuple(
-        x
-        for x in range(p)
-        if all(tab[(x + j) % p] == answers[j - 1] for j in range(1, m + 1))
-    )
+    if params.d == 1:
+        members = tuple(range(p - m)) if all(a == 1 for a in answers) else ()
+    else:
+        tab = power_table(p, params.e)
+        members = tuple(
+            x
+            for x in range(p)
+            if all(tab[(x + j) % p] == answers[j - 1] for j in range(1, m + 1))
+        )
     if trace is not None:
         trace.rounds.append(("scan", m, p, len(members)))
     return members
@@ -398,7 +428,8 @@ def recover_large_e(
     h = int((p / e) * math.sqrt(p) * math.log(p) ** 2)
     window = max(1, min(h, _cap(policy, p)))
     wide = replace(policy, initial_window=window)
-    return recover_from_candidates(oracle, got, wide, trace)
+    m = large_e_call_count(p, e)
+    return recover_from_candidates(oracle, got, wide, trace, range(1, m + 1))
 
 
 def recover(

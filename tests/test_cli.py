@@ -303,6 +303,9 @@ def test_usage_error_and_help_leave_the_parser_unchanged():
         (["lab", "--lemma", "hyperbola"], [{"p": 13, "u": 0, "v": 5, "H": 0}]),
         # no trial would reach the algorithm, so its name is never checked
         (["recover", "--p", "13", "--e", "3", "--trials", "0", "--algorithm", "nope"], None),
+        (["recover", "--p", "383", "--e", "191", "--s", "7", "--window-cap", "0"], None),
+        (["identity", "--p", "13", "--e", "3", "--s", "1", "--window-cap", "-5"], None),
+        (["bench", "--p", "13", "--e", "3", "--window-cap", "0"], None),
     ],
 )
 def test_out_of_range_value_is_config_error(tmp_path, capsys, argv, grid):
@@ -328,6 +331,14 @@ def test_lab_counter_on_a_composite_p_exits_2(tmp_path, capsys, lemma, cell):
     path.write_text(json.dumps([cell]))
     assert run_main(["lab", "--lemma", lemma, "--grid", str(path)]) == (2, "")
     assert capsys.readouterr().err == f"error: p={cell['p']} is not prime\n"
+
+
+@pytest.mark.parametrize("flag, value", [("--t", "18"), ("--t", "-8"), ("--s", "18")])
+def test_identity_shift_outside_the_field_exits_2(capsys, flag, value):
+    argv = ["identity", "--p", "13", "--e", "3", "--s", "5", "--t", "5"]
+    argv[argv.index(flag) + 1] = value
+    assert run_main(argv) == (2, "")
+    assert capsys.readouterr().err == f"error: {flag[2:]}={value} outside [0, 13)\n"
 
 
 def test_identity_exact_windows_beyond_the_old_caps():

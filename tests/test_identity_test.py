@@ -3,7 +3,7 @@ import pytest
 from shiftbreak import field_core as fc
 from shiftbreak import identity_test as it
 from shiftbreak import bounds_lab as bl
-from shiftbreak.errors import MismatchedParams, RangeViolation, TooLarge
+from shiftbreak.errors import MismatchedParams, OutOfRange, RangeViolation, TooLarge
 from shiftbreak.oracle import new_oracle
 
 
@@ -58,6 +58,22 @@ def test_known_t_examples():
     assert it.test_known_t(o, 4) == it.DISTINCT
     o = make(13, 3, 4, forbidden=frozenset({(-4) % 13}))
     assert it.test_known_t(o, 4) == it.EQUAL
+
+
+def test_known_t_rejects_t_outside_the_field():
+    # t = 18 and t = -8 are 5 mod 13, but only 0 <= t < p names a shift
+    for t in (18, -8, 13):
+        o = make(13, 3, 5, forbidden=frozenset({(-t) % 13}))
+        with pytest.raises(OutOfRange):
+            it.test_known_t(o, t)
+        assert o.calls == 0
+
+
+def test_window_cap_below_one_is_rejected():
+    for cap in (0, -5):
+        with pytest.raises(ValueError):
+            it.HPolicy(cap=cap)
+    assert it.HPolicy(cap=1).cap == 1
 
 
 def test_known_t_single_probe_can_be_unsound():

@@ -313,6 +313,27 @@ def test_smooth_narrow_recovers():
 def test_probe_policy_validation():
     with pytest.raises(ValueError):
         sr.ProbePolicy(epsilon=0.7)
+    for cap in (0, -5):
+        with pytest.raises(ValueError):
+            sr.ProbePolicy(window_cap=cap)
+    assert sr.ProbePolicy(window_cap=1).window_cap == 1
+
+
+def test_max_rounds_is_checked_before_a_round_starts():
+    # p = 383, e = 191, s = 1..4: three r-rounds of 2 calls after the x = 0
+    # call, the third leaving at most 4 candidates
+    ctx = fc.make_context(383)
+    params = fc.make_params(ctx, 191)
+    for s in range(1, 5):
+        o, trace = new_oracle(ctx, params, s), sr.RecoveryTrace()
+        assert sr.recover_zero_call_narrow(o, sr.ProbePolicy(max_rounds=3), trace) == s
+        assert len(trace.rounds) == 3 and trace.rounds[-1][3] <= sr.FINAL_SET_THRESHOLD
+        for max_rounds in (1, 2):
+            o, trace = new_oracle(ctx, params, s), sr.RecoveryTrace()
+            with pytest.raises(Stalled, match=f"within {max_rounds} rounds"):
+                sr.recover_zero_call_narrow(o, sr.ProbePolicy(max_rounds=max_rounds), trace)
+            assert len(trace.rounds) == max_rounds
+            assert o.calls == 1 + 2 * max_rounds
 
 
 def test_recover_runs_every_algorithm_by_name():
@@ -399,6 +420,94 @@ def test_oracle_calls_match_table_era(algorithm, p):
     per_e = [_calls_per_shift(algorithm, p, e) for e in divisors(p - 1)[:-1]]
     assert hashlib.sha256(repr(per_e).encode()).hexdigest()[:16] == digest
     assert sum(_calls_per_shift(algorithm, p, p - 1)) <= d1_total
+
+
+def test_large_e_at_d1_builds_no_power_table(no_power_table):
+    # e = p-1: every nonzero answer is 1, so the scan's set is x = 0..p-m-1
+    for p in (101, 211, 397):
+        m = sr.large_e_call_count(p, p - 1)
+        assert sr._scan_candidates(make(p, p - 1, 0)) == tuple(range(p - m))
+        for s in range(p):
+            assert sr.recover_large_e(make(p, p - 1, s)) == s
+
+
+def test_narrowing_skips_probes_every_candidate_agrees_on(monkeypatch):
+    # before a round, every point queried so far (the points S0 was built
+    # from and the earlier rounds' probes) is one where all candidates
+    # predict the oracle's answer; no probe may lie wholly on such points
+    events = []
+    probe_keys = sr._probe_keys
+
+    def recording_probe_keys(p, e, S, x, zx):
+        events.append(("probe", x, zx))
+        return probe_keys(p, e, S, x, zx)
+
+    monkeypatch.setattr(sr, "_probe_keys", recording_probe_keys)
+
+    def recording_oracle(ctx, params, s):
+        o = new_oracle(ctx, params, s)
+        query = o.query
+
+        def recorded(x):
+            events.append(("query", x % ctx.p))
+            return query(x)
+
+        o.query = recorded
+        return o
+
+    rng = random.Random(300)
+    probes = 0
+    for p in (q for q in range(3, 300) if fc.is_prime(q)):
+        ctx = fc.make_context(p)
+        for e in divisors(p - 1):
+            params = fc.make_params(ctx, e)
+            for s in rng.sample(range(p), min(p, 3)):
+                for algorithm in ("zero_call_narrow", "smooth_narrow", "large_e"):
+                    events.clear()
+                    o = recording_oracle(ctx, params, s)
+                    assert sr.recover(o, algorithm) == s
+                    queried = set()
+                    for kind, x, *zx in events:
+                        if kind == "query":
+                            queried.add(x)
+                            continue
+                        points = {x} if zx[0] is None else {x, zx[0]}
+                        assert not points <= queried, (algorithm, p, e, s, x, zx)
+                        probes += 1
+    assert probes > 1000
+
+
+def test_skipped_probes_change_no_round():
+    # the same rounds, answer and calls as narrowing told of no agreed point;
+    # at p = 1048601 the smooth set is built from x = 0..4 and narrowed by r
+    # probes at x = 1..4, agreed on x but not on zeta*x, so still scanned
+    # (its zero-call sets of e members are left out for time)
+    rng = random.Random(7)
+    cells = [
+        (p, e, range(0, p, 7), (False, True))
+        for p in (101, 191, 383)
+        for e in divisors(p - 1)[1:-1]
+    ]
+    cells += [(1048601, e, rng.sample(range(1048601), 3), (True,)) for e in (104860, 149800)]
+    for p, e, shifts, smooth_cases in cells:
+        ctx = fc.make_context(p)
+        params = fc.make_params(ctx, e)
+        wits = full_witness_set(ctx, params)
+        for s in shifts:
+            for smooth in smooth_cases:
+                runs = []
+                for skip in (True, False):
+                    o, trace = new_oracle(ctx, params, s), sr.RecoveryTrace()
+                    if smooth:
+                        S0, smooth_wits = sr.initial_candidates_smooth(o)
+                        agreed = range(smooth_wits.n + 1)
+                    else:
+                        S0, agreed = sr.initial_candidates_zero_call(o, wits), (0,)
+                    got = sr.recover_from_candidates(
+                        o, S0, sr.ProbePolicy(), trace, agreed if skip else ()
+                    )
+                    runs.append((got, o.calls, trace.rounds))
+                assert runs[0] == runs[1] and runs[0][0] == s, (p, e, s, smooth)
 
 
 def test_d1_resolves_candidates_by_x_minus_t():
