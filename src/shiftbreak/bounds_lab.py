@@ -86,10 +86,13 @@ def _check_prime(p: int) -> None:
 
 
 def hyperbola_count(p: int, u: int, v: int, H: int) -> int:
-    """Solutions of (x+u)(y+u) = v with 1 <= x, y <= H."""
+    """Solutions of (x+u)(y+u) = v with 1 <= x, y <= H: H steps, TooLarge
+    where H > LOOP_CAP."""
     _check_prime(p)
     if v % p == 0:
         raise BadV("v must be invertible")
+    if H > LOOP_CAP:
+        raise TooLarge(f"H={H} above loop cap")
     count = 0
     for x in range(1, H + 1):
         xu = (x + u) % p
@@ -102,8 +105,11 @@ def hyperbola_count(p: int, u: int, v: int, H: int) -> int:
 
 
 def multiplicative_energy_count(p: int, a: int, H: int) -> int:
-    """Quadruples in [1,H]^4 with (a+x1)(a+x2) = (a+x3)(a+x4)."""
+    """Quadruples in [1,H]^4 with (a+x1)(a+x2) = (a+x3)(a+x4): H^2 steps,
+    TooLarge where H^2 > LOOP_CAP."""
     _check_prime(p)
+    if H * H > LOOP_CAP:
+        raise TooLarge(f"H^2 = {H * H} above loop cap")
     counts: dict = {}
     for x1 in range(1, H + 1):
         for x2 in range(1, H + 1):

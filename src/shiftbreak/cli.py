@@ -32,7 +32,6 @@ from .errors import (
     ShiftbreakError,
     Stalled,
     TooLarge,
-    TooLargeForScan,
     TooSmall,
 )
 from .oracle import new_oracle
@@ -56,6 +55,8 @@ LEMMA_KEYS = {
     "psi": ("x", "y"),
     "smooth_subgroup": ("p", "y"),
 }
+# The cell keys that must hold at least 1: box sizes, exponents, psi's x.
+POSITIVE_KEYS = {"H", "nu", "h", "x"}
 
 
 def _is_int(value) -> bool:
@@ -187,6 +188,9 @@ def run_identity(args) -> list[dict]:
 def _lab_row(lemma, cell):
     """Exact count plus the explicit-constant envelope for one grid cell."""
     _check_cell(cell, LEMMA_KEYS.get(lemma, ()), f"lemma {lemma!r}")
+    for key in LEMMA_KEYS.get(lemma, ()):
+        if key in POSITIVE_KEYS and cell[key] < 1:
+            raise ConfigError(f"lemma {lemma!r} needs {key} >= 1, not {cell[key]}")
     count, predicted = _lab_count(lemma, cell)
     row = {"lemma_id": lemma}
     row.update(cell)
@@ -201,8 +205,6 @@ def _lab_count(lemma, cell):
         ctx = fc.make_context(cell["p"])
         count = bl.longest_coset_run(ctx, fc.make_params(ctx, cell["e"]))
         predicted = 4.0 * cell["e"] ** 0.25
-    elif lemma in ("hyperbola", "energy") and cell["H"] < 1:
-        raise ConfigError(f"lemma {lemma!r} needs H >= 1, not {cell['H']}")
     elif lemma == "hyperbola":
         count = bl.hyperbola_count(cell["p"], cell["u"], cell["v"], cell["H"])
         predicted = cell["H"] ** 2 / cell["p"] + 4.0 * math.sqrt(cell["H"]) + 4.0
@@ -232,8 +234,6 @@ def _lab_count(lemma, cell):
         )
         predicted = float(cell["h"] ** cell["nu"])
     elif lemma == "psi":
-        if cell["x"] < 1:
-            raise ConfigError(f"lemma 'psi' needs x >= 1, not {cell['x']}")
         count = bl.psi_count(cell["x"], cell["y"])
         u = math.log(cell["x"]) / math.log(cell["y"]) if cell["y"] > 1 else 1.0
         predicted = cell["x"] * u ** (-u) if u > 0 else float(cell["x"])
@@ -479,7 +479,7 @@ def main(argv=None) -> int:
     except AlgorithmFailure as exc:
         print(f"algorithm defect: {exc}", file=sys.stderr)
         return EXIT_DEFECT
-    except (TooLarge, TooLargeForScan, TooSmall, Stalled) as exc:
+    except (TooLarge, TooSmall, Stalled) as exc:
         print(f"resource cap: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
     except ShiftbreakError as exc:

@@ -65,10 +65,6 @@ class Stalled(ShiftbreakError):
     pass
 
 
-class TooLargeForScan(ShiftbreakError):
-    pass
-
-
 # identity_test
 class RangeViolation(ShiftbreakError):
     pass

@@ -5,9 +5,9 @@ p - 1 by trial division below 2^10 and Pollard-Brent rho beyond it: about
 (p - 1)^(1/4) steps at most, tens of milliseconds for any p < 2^61.  The
 index table is a dense array and is only built for moduli up to 2^24; larger
 moduli fail loudly instead of switching algorithms silently.  It serves the
-characters.  The dense power table is likewise O(p) and serves only the two
-routines that enumerate the whole field: the large-e scan and the exhaustive
-two-oracle identity window.
+characters.  The dense power table is likewise O(p) and serves only the
+routine that enumerates the whole field: the exhaustive two-oracle identity
+window.
 """
 
 from __future__ import annotations
@@ -23,7 +23,8 @@ from .errors import NoInverse, NotDividing, NotPrime, Overflow, TooLarge
 MAX_P = 2**61
 DENSE_TABLE_CAP = 2**24
 # Largest e for the routines that walk G_e or make e + 1 queries: the e-th
-# root sets, the interpolation baseline and the longest coset run.
+# root sets, the interpolation baseline, the longest coset run and the list
+# of G_e.
 EXHAUSTIVE_CAP = 10**6
 
 # Witness set valid for deterministic Miller-Rabin below 2^64.
@@ -171,7 +172,10 @@ def mod_inv(a: int, ctx: PrimeContext) -> int:
 
 
 def subgroup_elements(ctx: PrimeContext, params: ExponentParams) -> tuple[int, ...]:
-    """The order-e subgroup G_e = {x : x^e = 1}, sorted ascending."""
+    """The order-e subgroup G_e = {x : x^e = 1}, sorted ascending; TooLarge
+    above e = EXHAUSTIVE_CAP."""
+    if params.e > EXHAUSTIVE_CAP:
+        raise TooLarge(f"e={params.e} above the exhaustive cap {EXHAUSTIVE_CAP}")
     h = pow(ctx.g, params.d, ctx.p)
     out = []
     x = 1
@@ -235,9 +239,9 @@ def least_nonresidue(ctx: PrimeContext, ell: int) -> int:
 def power_table(p: int, e: int) -> tuple[int, ...]:
     """Dense x -> x^e mod p for x in [0, p).
 
-    O(p) time and memory: for the full-field enumerations only (the large-e
-    scan under SCAN_CAP and exact_unknown_window under LOOP_CAP).  Recovery
-    on a candidate set computes (t + x)^e with pow, and longest_coset_run
-    reads the coset runs off G_e.
+    O(p) time and memory: for the one full-field enumeration only,
+    exact_unknown_window under LOOP_CAP.  Recovery solves its candidate sets
+    with consecutive_roots and computes (t + x)^e with pow, and
+    longest_coset_run reads the coset runs off G_e.
     """
     return tuple(pow(x, e, p) for x in range(p))

@@ -5,7 +5,7 @@ Strategies, all honest oracle clients:
  - zero-call initial candidates + probe narrowing
  - smooth pigeonhole initial candidates (n+1 calls)
  - randomized probing (seeded, mean O(1) calls)
- - large-e variant (m consecutive calls, global scan, then narrowing)
+ - large-e variant (m consecutive calls solved as one system, then narrowing)
 
 `recover` runs any of them by name.  A candidate set is a sorted tuple of
 shifts.
@@ -19,24 +19,23 @@ import math
 import random
 from dataclasses import dataclass, field, replace
 
-from .errors import ConfigError, Stalled, TooLarge, TooLargeForScan
+from .errors import ConfigError, Stalled, TooLarge
 from .field_core import (
     EXHAUSTIVE_CAP,
     ExponentParams,
     PrimeContext,
     mod_inv,
-    power_table,
 )
 from .oracle import ShiftOracle
 from .root_solver import (
     WitnessSet,
     all_eth_roots,
     candidates_from_consecutive_powers,
+    consecutive_roots,
     full_witness_set,
 )
 
 FINAL_SET_THRESHOLD = 4  # resolve by x = -t queries at or below this size
-SCAN_CAP = 10**7  # largest p for which a full-field scan is allowed
 STALL_FACTOR = 2  # a probe window that certifies no shrinkage grows by this
 
 ALGORITHMS = (
@@ -382,14 +381,12 @@ def _scan_candidates(
     """m consecutive queries at x = 1..m, then the x with (x + j)^e = A_j for
     every j; returns the shift directly when some answer is zero.
 
-    At d = 1 every nonzero e-th power is 1, so the set is x = 0..p-m-1 (the
-    x with no x + j = 0) when every answer is 1, in O(p) tuple building and
-    no power; otherwise a full-field scan of a `power_table`.
+    With y = x + 1 the system is (y + j)^e = A_(j+1) for j = 0..m-1, which
+    `consecutive_roots` solves; no root y is 0, as that needs A_1 = 0, so
+    x = y - 1 keeps the set sorted.  TooLarge above e = EXHAUSTIVE_CAP.
     """
     ctx, params = oracle.ctx, oracle.params
     p = ctx.p
-    if p > SCAN_CAP:
-        raise TooLargeForScan(f"p={p} above scan cap {SCAN_CAP}")
     m = large_e_call_count(p, params.e)
     answers = []
     for j in range(1, m + 1):
@@ -397,15 +394,7 @@ def _scan_candidates(
         if a == 0:
             return (-j) % p
         answers.append(a)
-    if params.d == 1:
-        members = tuple(range(p - m)) if all(a == 1 for a in answers) else ()
-    else:
-        tab = power_table(p, params.e)
-        members = tuple(
-            x
-            for x in range(p)
-            if all(tab[(x + j) % p] == answers[j - 1] for j in range(1, m + 1))
-        )
+    members = tuple(y - 1 for y in consecutive_roots(ctx, params, answers))
     if trace is not None:
         trace.rounds.append(("scan", m, p, len(members)))
     return members

@@ -192,6 +192,16 @@ def test_energy_matches_naive_random():
         assert bl.multiplicative_energy_count(p, a, H) == naive_energy(p, a, H)
 
 
+def test_box_counters_cap_their_loops():
+    # hyperbola loops over x <= H and energy over (x1, x2) <= H: TooLarge
+    # where that passes LOOP_CAP, not a loop of minutes or hours
+    with pytest.raises(TooLarge):
+        bl.hyperbola_count(13, 0, 1, bl.LOOP_CAP + 1)
+    for H in (math.isqrt(bl.LOOP_CAP) + 1, 200000):
+        with pytest.raises(TooLarge):
+            bl.multiplicative_energy_count(1000003, 0, H)
+
+
 @pytest.mark.parametrize("p", [1, 12, 91, -13])
 def test_bare_p_counters_need_a_prime(p):
     with pytest.raises(NotPrime):

@@ -118,6 +118,25 @@ def test_lab_inline_and_grid(tmp_path):
     assert rows[1]["exact_count"] == 11
 
 
+@pytest.mark.parametrize(
+    "lemma, cell",
+    [
+        # G_e with e = p-1 at 2^61-1 would be a list of 2^61 elements
+        ("subgroup_shift", {"p": 2**61 - 1, "e": 2**61 - 2, "shifts": [[1, 1]]}),
+        # H^2 steps for energy, H for hyperbola, above LOOP_CAP
+        ("energy", {"p": 1000003, "a": 0, "H": 200000}),
+        ("hyperbola", {"p": 13, "u": 0, "v": 1, "H": 10**8 + 1}),
+    ],
+)
+def test_lab_cell_above_a_cap_is_a_skipped_row(tmp_path, lemma, cell):
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps([cell]))
+    out = _run_cli_under_1_gib(["lab", "--lemma", lemma, "--grid", str(grid)])
+    assert out.returncode == 0, out.stderr
+    row = json.loads(out.stdout)
+    assert "above" in row["skipped"] and "exact_count" not in row
+
+
 def test_lab_empty_grid(tmp_path):
     grid = tmp_path / "grid.json"
     grid.write_text("[]")
@@ -306,6 +325,10 @@ def test_usage_error_and_help_leave_the_parser_unchanged():
         (["recover", "--p", "383", "--e", "191", "--s", "7", "--window-cap", "0"], None),
         (["identity", "--p", "13", "--e", "3", "--s", "1", "--window-cap", "-5"], None),
         (["bench", "--p", "13", "--e", "3", "--window-cap", "0"], None),
+        (["lab", "--lemma", "product_J"], [{"p": 13, "nu": -2, "lam": 1, "s": 0, "h": 3}]),
+        (["lab", "--lemma", "product_J"], [{"p": 13, "nu": 2, "lam": 1, "s": 0, "h": 0}]),
+        (["lab", "--lemma", "product_set"], [{"p": 13, "nu": 2, "s": 1, "h": -5}]),
+        (["lab", "--lemma", "product_set"], [{"p": 13, "nu": 0, "s": 1, "h": 3}]),
     ],
 )
 def test_out_of_range_value_is_config_error(tmp_path, capsys, argv, grid):
@@ -421,21 +444,28 @@ def _limit_address_space_to_1_gib():
     resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
 
 
-@pytest.mark.parametrize("algorithm", sr.ALGORITHMS)
-def test_e_above_the_cap_exits_4_under_1_gib(algorithm):
-    # e = (p-1)/2 is a 39-bit prime: each algorithm stops with a typed
-    # resource cap, not a MemoryError (exit 1) or e + 1 queries
+def _run_cli_under_1_gib(argv):
+    """`shiftbreak argv` in a subprocess with 1 GiB of address space and a
+    60 s bound, so that a missing cap fails the test, not the machine."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
-    out = subprocess.run(
-        [sys.executable, "-m", "shiftbreak.cli", "recover", "--p", "1099511628443",
-         "--e", "549755814221", "--algorithm", algorithm],
+    return subprocess.run(
+        [sys.executable, "-m", "shiftbreak.cli", *argv],
         capture_output=True,
         text=True,
         env=env,
         timeout=60,
         preexec_fn=_limit_address_space_to_1_gib,
+    )
+
+
+@pytest.mark.parametrize("algorithm", sr.ALGORITHMS)
+def test_e_above_the_cap_exits_4_under_1_gib(algorithm):
+    # e = (p-1)/2 is a 39-bit prime: each algorithm stops with a typed
+    # resource cap, not a MemoryError (exit 1) or e + 1 queries
+    out = _run_cli_under_1_gib(
+        ["recover", "--p", "1099511628443", "--e", "549755814221", "--algorithm", algorithm]
     )
     assert out.returncode == 4, out.stderr
     assert out.stdout == ""

@@ -148,6 +148,13 @@ def test_subgroup_elements_examples():
     assert fc.subgroup_elements(ctx, fc.make_params(ctx, 4)) == (1, 5, 8, 12)
 
 
+def test_subgroup_elements_caps_e():
+    ctx = fc.make_context(1000003)
+    assert len(fc.subgroup_elements(ctx, fc.make_params(ctx, 1000002 // 2))) == 500001
+    with pytest.raises(TooLarge):
+        fc.subgroup_elements(ctx, fc.make_params(ctx, 1000002))
+
+
 def test_subgroup_matches_brute_force_and_is_closed():
     for p in SMALL_PRIMES:
         ctx = fc.make_context(p)

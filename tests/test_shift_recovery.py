@@ -358,12 +358,14 @@ CANDIDATE_SET_ALGORITHMS = ("zero_call_narrow", "smooth_narrow", "randomized")
 
 @pytest.fixture
 def no_power_table(monkeypatch):
-    """Recovery on a candidate set must never build an O(p) table."""
+    """Recovery must never build an O(p) table: shift_recovery does not
+    import power_table, and a call through field_core fails."""
+    assert not hasattr(sr, "power_table")
 
     def refuse(p, e):
         raise AssertionError(f"power_table({p}, {e}) built during recovery")
 
-    monkeypatch.setattr(sr, "power_table", refuse)
+    monkeypatch.setattr(fc, "power_table", refuse)
 
 
 def test_candidate_set_recovery_builds_no_power_table(no_power_table):
@@ -429,6 +431,57 @@ def test_large_e_at_d1_builds_no_power_table(no_power_table):
         assert sr._scan_candidates(make(p, p - 1, 0)) == tuple(range(p - m))
         for s in range(p):
             assert sr.recover_large_e(make(p, p - 1, s)) == s
+
+
+def table_scan(oracle):
+    """Reference for `_scan_candidates`: the same queries at x = 1..m, then
+    every x in F_p checked against a table of x^e."""
+    p, e = oracle.ctx.p, oracle.params.e
+    m = sr.large_e_call_count(p, e)
+    answers = []
+    for j in range(1, m + 1):
+        a = oracle.query(j)
+        if a == 0:
+            return (-j) % p
+        answers.append(a)
+    tab = [pow(x, e, p) for x in range(p)]
+    return tuple(
+        x
+        for x in range(p)
+        if all(tab[(x + j) % p] == answers[j - 1] for j in range(1, m + 1))
+    )
+
+
+def _assert_scan_matches_table(p, d, rng):
+    # the zero-answer shifts s = p-1..p-m, then seeded ones
+    e = (p - 1) // d
+    m = sr.large_e_call_count(p, e)
+    for s in [p - j for j in range(1, m + 1)] + [rng.randrange(p) for _ in range(5)]:
+        got, want = make(p, e, s), make(p, e, s)
+        assert sr._scan_candidates(got) == table_scan(want), (p, e, s)
+        assert got.calls == want.calls, (p, e, s)
+
+
+def test_scan_matches_the_table_scan_at_d2():
+    # p >= 1039 is where e = (p-1)/2 first exceeds p^0.9, so large_e scans
+    rng = random.Random(1039)
+    for p in range(1039, 1500):
+        if fc.is_prime(p):
+            _assert_scan_matches_table(p, 2, rng)
+
+
+@pytest.mark.parametrize("d", (2, 3))
+def test_scan_matches_the_table_scan_at_p_59077(d):
+    _assert_scan_matches_table(59077, d, random.Random(d))
+
+
+@pytest.mark.parametrize("p", (1039, 1049, 1051))
+def test_large_e_at_d2_builds_no_power_table(no_power_table, p):
+    e = (p - 1) // 2
+    assert e > p**0.9  # the scan path, not the zero-call delegation
+    rng = random.Random(p)
+    for s in [p - 1, 0] + [rng.randrange(p) for _ in range(4)]:
+        assert sr.recover_large_e(make(p, e, s)) == s, (p, s)
 
 
 def test_narrowing_skips_probes_every_candidate_agrees_on(monkeypatch):
