@@ -20,6 +20,7 @@ from .errors import (
     DegeneratePair,
     DegenerateShift,
     NotPrime,
+    OutOfRange,
     PrincipalCharacter,
     TooLarge,
     TooSmall,
@@ -138,8 +139,11 @@ def product_count_J(
     """Tuples (x_1..x_nu) in [1,h]^nu with prod (x_i + s) = lambda.
 
     Meet-in-the-middle over a half-split; both halves stay exact.
+    OutOfRange unless nu, h >= 1.
     """
     p = ctx.p
+    if nu < 1 or h < 1:
+        raise OutOfRange(f"nu={nu} and h={h} must be at least 1")
     if h**nu > LOOP_CAP:
         raise TooLarge(f"h^nu = {h**nu} above loop cap")
     lam %= p
@@ -180,8 +184,11 @@ def product_count_J(
 def product_set_size(
     ctx: PrimeContext, nu: int, s: int, t: int | None, h: int
 ) -> int:
-    """|A^(nu)| for A = {x+s : 1<=x<=h} or {(x+s)/(x+t) : 1<=x<=h, x != -t}."""
+    """|A^(nu)| for A = {x+s : 1<=x<=h} or {(x+s)/(x+t) : 1<=x<=h, x != -t};
+    OutOfRange unless nu, h >= 1."""
     p = ctx.p
+    if nu < 1 or h < 1:
+        raise OutOfRange(f"nu={nu} and h={h} must be at least 1")
     if h**nu > LOOP_CAP:
         raise TooLarge(f"h^nu = {h**nu} above loop cap")
     if t is None:

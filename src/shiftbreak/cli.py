@@ -89,12 +89,7 @@ def _policy(cls, **kwargs):
 
 
 def _policy_from(args) -> sr.ProbePolicy:
-    kwargs = {}
-    if args.epsilon is not None:
-        kwargs["epsilon"] = args.epsilon
-    if args.window_cap is not None:
-        kwargs["window_cap"] = args.window_cap
-    return _policy(sr.ProbePolicy, **kwargs)
+    return _policy(sr.ProbePolicy, window_cap=args.window_cap)
 
 
 def _run_one_recovery(ctx, params, s, algorithm, seed, policy):
@@ -380,8 +375,8 @@ FLAGS = {
 SUBCOMMANDS = {
     "recover": (
         run_recover,
-        ("p", "e", "s", "algorithm", "epsilon", "window-cap", "seed", "trials",
-         "timing", "output"),
+        ("p", "e", "s", "algorithm", "window-cap", "seed", "trials", "timing",
+         "output"),
     ),
     "identity": (
         run_identity,
@@ -390,8 +385,8 @@ SUBCOMMANDS = {
     "lab": (run_lab, ("lemma", "grid", "p", "e", "output")),
     "bench": (
         run_bench,
-        ("grid", "p", "e", "algorithms", "trials", "seed", "epsilon",
-         "window-cap", "timing", "output"),
+        ("grid", "p", "e", "algorithms", "trials", "seed", "window-cap",
+         "timing", "output"),
     ),
 }
 

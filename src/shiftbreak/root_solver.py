@@ -3,7 +3,7 @@
 `consecutive_roots` solves (x + j)^e = A_j for j = 0..n: one root of A_0 by
 Pohlig-Hellman over the part of p-1 whose primes divide e, then a walk of its
 coset of G_e.  The zero-call roots and the smooth pigeonhole are its n = 0 and
-witness-sized cases.  The per-prime witness descent stays only as the tests'
+n = 1 cases.  The per-prime witness descent stays only as the tests'
 reference and as tracer hooks.  The per-(p, e) constants and witness sets are
 cached.  Solution sets are sorted ascending; every root found is re-verified.
 """
@@ -411,8 +411,10 @@ def candidates_from_consecutive_powers(
     witnesses: WitnessSet,
     answers,
 ) -> tuple[int, ...]:
-    """`consecutive_roots` with n fixed by the witnesses, which must cover
-    every prime of e.  The paper's pigeonhole on indices mod n finds the same
+    """`consecutive_roots` with n = prod ell^gamma_ell fixed by the
+    witnesses, which must cover every prime of e.  The smooth pigeonhole's
+    witnesses are plain nonresidues (gamma = 0), so n = 1 and this solves one
+    pair of answers.  The paper's pigeonhole on indices mod n finds the same
     set through n(n+1)/2 restricted descents (`roots_with_index_divisibility`),
     which is no cheaper on any cell measured, from p = 101 to 2^61 - 1.
     """

@@ -3,7 +3,7 @@
 Strategies, all honest oracle clients:
  - interpolation baseline (e+1 calls)
  - zero-call initial candidates + probe narrowing
- - smooth pigeonhole initial candidates (n+1 calls)
+ - smooth pigeonhole initial candidates (2 calls, at x = 0 and 1)
  - randomized probing (seeded, mean O(1) calls)
  - large-e variant (m consecutive calls solved as one system, then narrowing)
 
@@ -49,14 +49,11 @@ ALGORITHMS = (
 
 @dataclass(frozen=True)
 class ProbePolicy:
-    epsilon: float = 0.05
     window_cap: int | None = None  # default p-1 at use sites
     max_rounds: int = 64
     initial_window: int = 4
 
     def __post_init__(self):
-        if not (0 < self.epsilon < 0.5):
-            raise ValueError("epsilon must lie in (0, 1/2)")
         if self.window_cap is not None and self.window_cap < 1:
             raise ValueError("window cap must be at least 1")
 
@@ -114,37 +111,22 @@ def initial_candidates_zero_call(
     return all_eth_roots(oracle.ctx, oracle.params, oracle.query(0), witnesses)
 
 
-@functools.lru_cache(maxsize=64)
-def smooth_witnesses(ctx: PrimeContext, params: ExponentParams, epsilon: float) -> WitnessSet:
-    """Witnesses from the initial segment [1, y], y = floor(p^epsilon).
+def smooth_witnesses(ctx: PrimeContext, params: ExponentParams) -> WitnessSet:
+    """The smooth pigeonhole's witnesses: the least ell-th power nonresidue
+    for every prime ell | e (`full_witness_set`, cached per (p, e)).
 
-    gamma_ell is the smallest gamma_ell(x) over x <= y, where gamma_ell(x) is
-    the largest gamma with x^((p-1)/ell^gamma) = 1; the minimizing x is the
-    witness.  Small y keeps n = prod ell^gamma_ell small whenever a small
-    ell-th nonresidue exists.  Cached per (p, e, epsilon).
+    Every gamma_ell is then 0, so n = 1 and the pigeonhole queries x = 0, 1.
+    The paper's search over x <= p^epsilon bounds only the local time of
+    finding witnesses, while each unit of n costs an oracle call.
     """
-    p = ctx.p
-    y = max(1, int(p**epsilon))
-    full = dict(ctx.group_order_factors)
-    entries = []
-    for ell, _ in params.e_factors:
-        alpha = full[ell]
-        best_gamma, best_x = alpha + 1, 1
-        for x in range(1, y + 1):
-            gamma = 0
-            while gamma < alpha and pow(x, (p - 1) // ell ** (gamma + 1), p) == 1:
-                gamma += 1
-            if gamma < best_gamma:
-                best_gamma, best_x = gamma, x
-        entries.append((ell, best_x, min(best_gamma, alpha)))
-    return WitnessSet(tuple(entries))
+    return full_witness_set(ctx, params)
 
 
 def initial_candidates_smooth(
-    oracle: ShiftOracle, epsilon: float = 0.05
+    oracle: ShiftOracle,
 ) -> tuple[tuple[int, ...], WitnessSet]:
-    """n+1 calls at x = 0..n with n from smooth witnesses; exact pigeonhole set."""
-    wits = smooth_witnesses(oracle.ctx, oracle.params, epsilon)
+    """n+1 = 2 calls at x = 0, 1; the exact set of x with (x + j)^e = A_j."""
+    wits = smooth_witnesses(oracle.ctx, oracle.params)
     answers = [oracle.query(x) for x in range(wits.n + 1)]
     cands = candidates_from_consecutive_powers(
         oracle.ctx, oracle.params, wits, answers
@@ -329,7 +311,7 @@ def recover_smooth_narrow(
     policy: ProbePolicy = ProbePolicy(),
     trace: RecoveryTrace | None = None,
 ) -> int:
-    S0, wits = initial_candidates_smooth(oracle, policy.epsilon)
+    S0, wits = initial_candidates_smooth(oracle)
     return recover_from_candidates(oracle, S0, policy, trace, range(wits.n + 1))
 
 

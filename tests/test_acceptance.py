@@ -55,9 +55,15 @@ def test_01_root_sets_match_brute_force():
                     assert all_eth_roots(ctx, params, A, wits) == expect, (p, e, A)
 
 
+DETERMINISTIC = ("interpolation", "zero_call_narrow", "smooth_narrow", "large_e")
+
+
 def test_02_recovery_sound_for_every_shift():
+    # every deterministic algorithm also stays within interpolation's e + 1
+    # oracle calls; randomized is bounded in the mean (criterion 04)
     with criterion(
-        "02 recovery returns the planted shift (p < 300, all e, all s, 4 algorithms)"
+        "02 recovery returns the planted shift (p < 300, all e, all s, "
+        "5 algorithms), in at most e + 1 calls but for randomized"
     ):
         for p in primes_below(300):
             ctx = fc.make_context(p)
@@ -66,16 +72,14 @@ def test_02_recovery_sound_for_every_shift():
                 params = fc.make_params(ctx, e)
                 wits = full_witness_set(ctx, params)
                 for s in range(p):
-                    o = new_oracle(ctx, params, s)
-                    assert sr.interpolation_recover(o) == s, (p, e, s)
-                    o = new_oracle(ctx, params, s)
-                    assert sr.recover_zero_call_narrow(o, policy) == s, (p, e, s)
+                    for algorithm in DETERMINISTIC:
+                        o = new_oracle(ctx, params, s)
+                        assert sr.recover(o, algorithm, policy) == s, (algorithm, p, e, s)
+                        assert o.calls <= e + 1, (algorithm, p, e, s, o.calls)
                     for seed in (1, 2, 3):
                         o = new_oracle(ctx, params, s)
                         S0 = sr.initial_candidates_zero_call(o, wits)
                         assert sr.recover_randomized(o, S0, seed) == s, (p, e, s, seed)
-                    o = new_oracle(ctx, params, s)
-                    assert sr.recover_large_e(o, policy) == s, (p, e, s)
 
 
 def test_03_narrowing_call_budget_on_grid():

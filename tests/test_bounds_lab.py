@@ -10,6 +10,7 @@ from shiftbreak.errors import (
     DegeneratePair,
     DegenerateShift,
     NotPrime,
+    OutOfRange,
     PrincipalCharacter,
     TooLarge,
     TooSmall,
@@ -281,6 +282,17 @@ def test_product_set_anchors():
     assert bl.product_set_size(ctx, 2, 0, None, 2) == 3  # {1,2,4}
     with pytest.raises(DegeneratePair):
         bl.product_set_size(ctx, 2, 4, 4, 2)
+
+
+@pytest.mark.parametrize("nu, h", [(-2, 3), (0, 3), (2, 0), (1, -5)])
+def test_product_counters_need_a_positive_box(nu, h):
+    # below 1 the box is empty or meaningless: no count, not a silent 0 or 1
+    ctx = fc.make_context(13)
+    with pytest.raises(OutOfRange):
+        bl.product_count_J(ctx, nu, 1, 0, h)
+    for t in (None, 4):
+        with pytest.raises(OutOfRange):
+            bl.product_set_size(ctx, nu, 1, t, h)
 
 
 def test_product_set_matches_naive_random():

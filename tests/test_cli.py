@@ -251,6 +251,26 @@ def test_flag_of_another_subcommand_exits_2(argv):
     assert run_main(argv) == (2, "")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["recover", "--p", "13", "--e", "3", "--epsilon", "1"],
+        ["recover", "--p", "13", "--e", "3", "--epsilon", "0.05"],
+        ["bench", "--p", "13", "--e", "3", "--epsilon", "0.5"],
+    ],
+)
+def test_recovery_takes_no_epsilon(tmp_path, capsys, argv):
+    # the smooth pigeonhole's witnesses no longer depend on epsilon, which
+    # only the identity tests read: a usage error, and a config error in
+    # a --config file
+    assert run_main(argv) == (2, "")
+    assert "unrecognized arguments: --epsilon" in capsys.readouterr().err
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"epsilon": 0.05}))
+    assert run_main(["--config", str(cfg), *argv[:-2]]) == (2, "")
+    assert capsys.readouterr().err.startswith("config error: ")
+
+
 def test_known_command_lines_exit_0(tmp_path):
     grid = tmp_path / "grid.json"
     grid.write_text(json.dumps([{"p": 1009, "u": 3, "v": 5, "H": 260}]))
@@ -314,8 +334,8 @@ def test_usage_error_and_help_leave_the_parser_unchanged():
 @pytest.mark.parametrize(
     "argv, grid",
     [
-        (["recover", "--p", "13", "--e", "3", "--epsilon", "1"], None),
-        (["bench", "--p", "13", "--e", "3", "--epsilon", "0.5"], None),
+        (["recover", "--p", "13", "--e", "3", "--trials", "-1"], None),
+        (["bench", "--p", "13", "--e", "3", "--trials", "0"], None),
         (["identity", "--p", "13", "--e", "3", "--epsilon", "0"], None),
         (["lab", "--lemma", "psi"], [{"x": 0, "y": 3}]),
         (["lab", "--lemma", "energy"], [{"p": 13, "a": 0, "H": -2}]),

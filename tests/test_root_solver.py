@@ -293,6 +293,29 @@ def gamma_one_witnesses(ctx, params):
     return rs.WitnessSet(tuple(entries))
 
 
+def segment_witnesses(ctx, params):
+    """Witnesses from the initial segment [1, y], y = floor(p^0.05), as in
+    the paper's smooth pigeonhole: for each prime ell | e, the x <= y with the
+    smallest gamma_ell(x), the largest gamma <= v_ell(p-1) with
+    x^((p-1)/ell^gamma) = 1.  Below p = 2^20, y = 1, so n is the part of p-1
+    built from the primes of e: gamma > 0 sets for the n > 1 pigeonhole."""
+    p = ctx.p
+    y = max(1, int(p**0.05))
+    full = dict(ctx.group_order_factors)
+    entries = []
+    for ell, _ in params.e_factors:
+        alpha = full[ell]
+        best_gamma, best_x = alpha + 1, 1
+        for x in range(1, y + 1):
+            gamma = 0
+            while gamma < alpha and pow(x, (p - 1) // ell ** (gamma + 1), p) == 1:
+                gamma += 1
+            if gamma < best_gamma:
+                best_gamma, best_x = gamma, x
+        entries.append((ell, best_x, min(best_gamma, alpha)))
+    return rs.WitnessSet(tuple(entries))
+
+
 def test_candidates_match_brute_force_planted():
     # planted answers must keep their shift; spliced and random e-th powers
     # come from no shift.  n ranges from 1 (e > n(n+1)/2, where the paper
@@ -304,7 +327,7 @@ def test_candidates_match_brute_force_planted():
             params = fc.make_params(ctx, e)
             for wits in (
                 gamma_one_witnesses(ctx, params),
-                sr.smooth_witnesses(ctx, params, 0.05),
+                segment_witnesses(ctx, params),
             ):
                 n = wits.n
                 if n + 1 > p:
@@ -367,7 +390,7 @@ def test_candidates_match_pigeonhole_at_large_p():
     rng = random.Random(150)
     for e in (150, 1001):
         params = fc.make_params(ctx, e)
-        wits = sr.smooth_witnesses(ctx, params, 0.05)
+        wits = sr.smooth_witnesses(ctx, params)
         assert wits.n == 1
         for _ in range(2):
             s = rng.randrange(p)
@@ -441,7 +464,7 @@ def test_coset_intersection_matches_root_filter_below_300():
             params = fc.make_params(ctx, e)
             for wits in (
                 rs.full_witness_set(ctx, params),
-                sr.smooth_witnesses(ctx, params, 0.05),
+                segment_witnesses(ctx, params),
                 gamma_one_witnesses(ctx, params),
             ):
                 if wits.n + 1 > p:
@@ -464,7 +487,7 @@ def test_coset_intersection_matches_root_filter_at_large_p():
         ctx = fc.make_context(p)
         for e in exponents:
             params = fc.make_params(ctx, e)
-            for wits in (rs.full_witness_set(ctx, params), sr.smooth_witnesses(ctx, params, 0.05)):
+            for wits in (rs.full_witness_set(ctx, params), segment_witnesses(ctx, params)):
                 for s, answers in pigeonhole_cases(rng, p, e, wits.n):
                     got = rs.candidates_from_consecutive_powers(ctx, params, wits, answers)
                     assert got == root_filter_candidates(ctx, params, answers)
@@ -551,7 +574,7 @@ test_prop_one_root_spans_the_root_set = prop_one_root_spans_the_root_set
 
 
 def test_answers_identical_after_every_cache_clear():
-    caches = [rs._root_plan, rs._is_power, rs.full_witness_set, sr.smooth_witnesses]
+    caches = [rs._root_plan, rs._is_power, rs.full_witness_set]
     for cache in caches:
         assert callable(cache.cache_clear)
 
@@ -561,7 +584,7 @@ def test_answers_identical_after_every_cache_clear():
             ctx = fc.make_context(p)
             params = fc.make_params(ctx, e)
             wits = rs.full_witness_set(ctx, params)
-            smooth = sr.smooth_witnesses(ctx, params, 0.05)
+            smooth = segment_witnesses(ctx, params)
             s = 7 * p // 11
             A = [pow(s + j, e, p) for j in range(smooth.n + 1)]
             out.append(rs.all_eth_roots(ctx, params, A[0], wits))

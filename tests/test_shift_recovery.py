@@ -85,16 +85,23 @@ def test_zero_call_candidates_examples():
     assert S == (1, 5, 8, 12)
 
 
-def test_smooth_witnesses_gamma_depends_on_y():
-    # p=13, e=3: x=1 gives gamma=1; x=2 is a cube nonresidue so gamma drops to 0
+def test_smooth_witnesses_are_least_nonresidues():
+    # p=13, e=3: 2 is the least cube nonresidue, so gamma = 0 and n = 1
     ctx = fc.make_context(13)
     params = fc.make_params(ctx, 3)
-    wits_y2 = sr.smooth_witnesses(ctx, params, epsilon=0.28)  # y = floor(13^.28) = 2
-    assert wits_y2.entries == ((3, 2, 0),)
-    assert wits_y2.n == 1
-    wits_y1 = sr.smooth_witnesses(ctx, params, epsilon=0.01)  # y = 1
-    assert wits_y1.entries == ((3, 1, 1),)
-    assert wits_y1.n == 3
+    wits = sr.smooth_witnesses(ctx, params)
+    assert wits.entries == ((3, 2, 0),)
+    assert wits.n == 1
+    for p in (13, 29, 61, 257, 2**61 - 1):
+        ctx = fc.make_context(p)
+        for e in divisors(p - 1) if p < 300 else (3, 150, 1001):
+            params = fc.make_params(ctx, e)
+            wits = sr.smooth_witnesses(ctx, params)
+            assert wits.n == 1, (p, e)
+            for ell, w, gamma in wits.entries:
+                assert gamma == 0
+                assert pow(w, (p - 1) // ell, p) != 1
+                assert all(pow(x, (p - 1) // ell, p) == 1 for x in range(2, w))
 
 
 def test_smooth_candidates_contain_secret():
@@ -104,9 +111,9 @@ def test_smooth_candidates_contain_secret():
                 continue
             for s in range(0, p, 3):
                 o = make(p, e, s)
-                S, wits = sr.initial_candidates_smooth(o, 0.05)
+                S, wits = sr.initial_candidates_smooth(o)
                 assert s in S
-                assert o.calls == wits.n + 1
+                assert o.calls == wits.n + 1 == 2
 
 
 def test_collision_stat_r_examples():
@@ -311,8 +318,6 @@ def test_smooth_narrow_recovers():
 
 
 def test_probe_policy_validation():
-    with pytest.raises(ValueError):
-        sr.ProbePolicy(epsilon=0.7)
     for cap in (0, -5):
         with pytest.raises(ValueError):
             sr.ProbePolicy(window_cap=cap)
@@ -399,14 +404,15 @@ def test_planted_shifts_at_large_p(no_power_table, p, exponents):
 # Oracle calls of the table-based implementation these algorithms replaced,
 # over s = 0..p-1 with randomized seed s + 1: the first 16 hex digits of the
 # sha256 of repr(per-shift calls for each e with d = (p-1)/e >= 2, ascending),
-# and the total calls over all shifts at d = 1.
+# and the total calls over all shifts at d = 1.  smooth_narrow's rows are
+# those of its least-nonresidue witnesses (n = 1, two calls before narrowing).
 TABLE_ERA_CALLS = {
     ("zero_call_narrow", 13): ("ea132bda2a3c1d65", 102),
     ("zero_call_narrow", 29): ("d252e680627c3349", 500),
     ("zero_call_narrow", 61): ("91dd207f6f93122e", 2092),
-    ("smooth_narrow", 13): ("63c293c7a2091a16", 169),
-    ("smooth_narrow", 29): ("020a2a0a38dfd062", 841),
-    ("smooth_narrow", 61): ("0a722933ee0ec733", 3721),
+    ("smooth_narrow", 13): ("cdc17a9e257ae60d", 91),
+    ("smooth_narrow", 29): ("3ec5051a1f532599", 435),
+    ("smooth_narrow", 61): ("11b016066baef696", 1891),
     ("randomized", 13): ("f1ece7bd81839a9a", 201),
     ("randomized", 29): ("0befff6bff0227a0", 635),
     ("randomized", 61): ("7f7f1c2557c1aa7b", 3810),
@@ -532,9 +538,9 @@ def test_narrowing_skips_probes_every_candidate_agrees_on(monkeypatch):
 
 def test_skipped_probes_change_no_round():
     # the same rounds, answer and calls as narrowing told of no agreed point;
-    # at p = 1048601 the smooth set is built from x = 0..4 and narrowed by r
-    # probes at x = 1..4, agreed on x but not on zeta*x, so still scanned
-    # (its zero-call sets of e members are left out for time)
+    # at p = 1048601 the smooth set is built from x = 0, 1 and narrowed by r
+    # probes, x = 1 among them at e = 149800: agreed on x but not on zeta*x,
+    # so still scanned (its zero-call sets of e members are left out for time)
     rng = random.Random(7)
     cells = [
         (p, e, range(0, p, 7), (False, True))
