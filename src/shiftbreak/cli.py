@@ -9,6 +9,12 @@ Subcommands:
 Reports are emitted as JSON lines, CSV, or an aligned table.  With a fixed
 seed every report is byte-reproducible; wall-clock timing is only added on
 request (--timing) because it breaks reproducibility.
+
+Each decision is written in one table: `FLAGS` holds every flag's type and
+default (a null in the --config file also means the default), `SUBCOMMANDS`
+the flags each subcommand takes, and `LEMMAS` the lab lemmas, each with the
+cell keys it reads and its count-and-envelope function.  An unknown lemma
+or algorithm name is a configuration error before any cell runs.
 """
 
 from __future__ import annotations
@@ -42,21 +48,10 @@ EXIT_DEFECT = 3
 EXIT_RESOURCE = 4
 
 
-# The integer keys each lemma reads from a grid cell (`subgroup_shift`'s
-# `shifts` holds [a, b] integer pairs).  `product_set` also reads an optional
-# integer `t`.
-LEMMA_KEYS = {
-    "coset_run": ("p", "e"),
-    "hyperbola": ("p", "u", "v", "H"),
-    "energy": ("p", "a", "H"),
-    "subgroup_shift": ("p", "e", "shifts"),
-    "product_J": ("p", "nu", "lam", "s", "h"),
-    "product_set": ("p", "nu", "s", "h"),
-    "psi": ("x", "y"),
-    "smooth_subgroup": ("p", "y"),
-}
 # The cell keys that must hold at least 1: box sizes, exponents, psi's x.
 POSITIVE_KEYS = {"H", "nu", "h", "x"}
+# The cell keys that may be absent or null: `product_set`'s second shift.
+OPTIONAL_KEYS = {"t"}
 
 
 def _is_int(value) -> bool:
@@ -64,11 +59,14 @@ def _is_int(value) -> bool:
 
 
 def _check_cell(cell, keys, who):
-    """Raise ConfigError unless `cell` holds an integer at every key."""
+    """Raise ConfigError unless `cell` holds an integer at every key, and at
+    least 1 at each of POSITIVE_KEYS; `shifts` holds [a, b] integer pairs."""
     for key in keys:
+        value = cell.get(key)
+        if key in OPTIONAL_KEYS and value is None:
+            continue
         if key not in cell:
             raise ConfigError(f"{who} needs {key!r} in every cell")
-        value = cell[key]
         if key == "shifts":
             ok = isinstance(value, list) and all(
                 isinstance(x, list) and len(x) == 2 and all(map(_is_int, x))
@@ -78,6 +76,9 @@ def _check_cell(cell, keys, who):
             ok = _is_int(value)
         if not ok:
             raise ConfigError(f"{who} needs integers at {key!r}, not {value!r}")
+    for key in keys:
+        if key in POSITIVE_KEYS and cell[key] < 1:
+            raise ConfigError(f"{who} needs {key} >= 1, not {cell[key]}")
 
 
 def _policy(cls, **kwargs):
@@ -86,10 +87,6 @@ def _policy(cls, **kwargs):
         return cls(**kwargs)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-
-
-def _policy_from(args) -> sr.ProbePolicy:
-    return _policy(sr.ProbePolicy, window_cap=args.window_cap)
 
 
 def _run_one_recovery(ctx, params, s, algorithm, seed, policy):
@@ -118,20 +115,17 @@ def run_recover(args) -> list[dict]:
         raise ConfigError("recover requires --p and --e")
     if args.trials < 1:
         raise ConfigError("recover requires trials >= 1")
-    algorithm = args.algorithm or "zero_call_narrow"
-    policy = _policy_from(args)
+    policy = _policy(sr.ProbePolicy, window_cap=args.window_cap)
     ctx = fc.make_context(p)
     params = fc.make_params(ctx, e)
     rng = random.Random(args.seed)
     rows = []
     for trial in range(args.trials):
         started = time.perf_counter()
-        if args.s is not None:
-            s = args.s
-        else:
-            s = rng.randrange(p)
-        seed = (args.seed or 0) + trial
-        row = _run_one_recovery(ctx, params, s, algorithm, seed, policy)
+        s = args.s if args.s is not None else rng.randrange(p)
+        row = _run_one_recovery(
+            ctx, params, s, args.algorithm, args.seed + trial, policy
+        )
         row["trial"] = trial
         if args.timing:
             row["wall_time"] = round(time.perf_counter() - started, 6)
@@ -145,12 +139,8 @@ def run_identity(args) -> list[dict]:
         raise ConfigError("identity requires --p and --e")
     ctx = fc.make_context(p)
     params = fc.make_params(ctx, e)
-    mode = args.mode or "exact"
     policy = _policy(
-        it.HPolicy,
-        mode=mode,
-        epsilon=args.epsilon if args.epsilon is not None else 0.05,
-        cap=args.window_cap,
+        it.HPolicy, mode=args.mode, epsilon=args.epsilon, cap=args.window_cap
     )
     rng = random.Random(args.seed)
     s = args.s if args.s is not None else rng.randrange(p)
@@ -174,133 +164,136 @@ def run_identity(args) -> list[dict]:
             "verdict": verdict,
             "probes": probes,
             "h": h,
-            "mode": mode,
+            "mode": args.mode,
             "ground_truth_equal": s == t,
         }
     ]
 
 
-def _lab_row(lemma, cell):
-    """Exact count plus the explicit-constant envelope for one grid cell."""
-    _check_cell(cell, LEMMA_KEYS.get(lemma, ()), f"lemma {lemma!r}")
-    for key in LEMMA_KEYS.get(lemma, ()):
-        if key in POSITIVE_KEYS and cell[key] < 1:
-            raise ConfigError(f"lemma {lemma!r} needs {key} >= 1, not {cell[key]}")
-    count, predicted = _lab_count(lemma, cell)
-    row = {"lemma_id": lemma}
-    row.update(cell)
-    row["exact_count"] = count
-    row["predicted"] = predicted
-    row["ratio"] = (count / predicted) if predicted else None
-    return row
+# Each lemma's exact count and its explicit-constant envelope for one cell,
+# the envelope None where the paper's constant is existential.
+def _coset_run(c):
+    ctx = fc.make_context(c["p"])
+    count = bl.longest_coset_run(ctx, fc.make_params(ctx, c["e"]))
+    return count, 4.0 * c["e"] ** 0.25
 
 
-def _lab_count(lemma, cell):
-    if lemma == "coset_run":
-        ctx = fc.make_context(cell["p"])
-        count = bl.longest_coset_run(ctx, fc.make_params(ctx, cell["e"]))
-        predicted = 4.0 * cell["e"] ** 0.25
-    elif lemma == "hyperbola":
-        count = bl.hyperbola_count(cell["p"], cell["u"], cell["v"], cell["H"])
-        predicted = cell["H"] ** 2 / cell["p"] + 4.0 * math.sqrt(cell["H"]) + 4.0
-    elif lemma == "energy":
-        count = bl.multiplicative_energy_count(cell["p"], cell["a"], cell["H"])
-        predicted = cell["H"] ** 4 / cell["p"] + 4.0 * cell["H"] ** 2 * math.log(
-            cell["H"] + 2
-        )
-    elif lemma == "subgroup_shift":
-        ctx = fc.make_context(cell["p"])
-        shifts = [tuple(x) for x in cell["shifts"]]
-        count = bl.subgroup_shift_intersection(
-            ctx, fc.make_params(ctx, cell["e"]), shifts
-        )
-        m = len(shifts)
-        predicted = 4.0 * cell["e"] ** ((m + 1) / (2 * m + 1))
-    elif lemma == "product_J":
-        ctx = fc.make_context(cell["p"])
-        count = bl.product_count_J(ctx, cell["nu"], cell["lam"], cell["s"], cell["h"])
-        predicted = None  # existential constant; ratio reported empirically
-    elif lemma == "product_set":
-        if cell.get("t") is not None:
-            _check_cell(cell, ("t",), f"lemma {lemma!r}")
-        ctx = fc.make_context(cell["p"])
-        count = bl.product_set_size(
-            ctx, cell["nu"], cell["s"], cell.get("t"), cell["h"]
-        )
-        predicted = float(cell["h"] ** cell["nu"])
-    elif lemma == "psi":
-        count = bl.psi_count(cell["x"], cell["y"])
-        u = math.log(cell["x"]) / math.log(cell["y"]) if cell["y"] > 1 else 1.0
-        predicted = cell["x"] * u ** (-u) if u > 0 else float(cell["x"])
-    elif lemma == "smooth_subgroup":
-        ctx = fc.make_context(cell["p"])
-        count = bl.smooth_subgroup_order(ctx, cell["y"])
-        predicted = None
-    else:
-        raise ConfigError(f"unknown lemma {lemma!r}")
-    return count, predicted
+def _hyperbola(c):
+    count = bl.hyperbola_count(c["p"], c["u"], c["v"], c["H"])
+    return count, c["H"] ** 2 / c["p"] + 4.0 * math.sqrt(c["H"]) + 4.0
 
 
-def run_lab(args) -> list[dict]:
-    if not args.lemma:
-        raise ConfigError("lab requires --lemma")
-    cells = _load_grid(args.grid) if args.grid else _default_lab_grid(args)
-    rows = []
-    for cell in cells:
-        try:
-            rows.append(_lab_row(args.lemma, cell))
-        except (TooLarge, TooSmall) as exc:
-            row = {"lemma_id": args.lemma}
-            row.update(cell)
-            row["skipped"] = str(exc)
-            rows.append(row)
-    return rows
+def _energy(c):
+    count = bl.multiplicative_energy_count(c["p"], c["a"], c["H"])
+    return count, c["H"] ** 4 / c["p"] + 4.0 * c["H"] ** 2 * math.log(c["H"] + 2)
 
 
-def _default_lab_grid(args):
-    if args.p is None:
-        raise ConfigError("lab requires --grid or inline --p/--e parameters")
-    cell = {"p": args.p}
-    if args.e is not None:
-        cell["e"] = args.e
-    return [cell]
+def _subgroup_shift(c):
+    ctx = fc.make_context(c["p"])
+    shifts = [tuple(x) for x in c["shifts"]]
+    count = bl.subgroup_shift_intersection(ctx, fc.make_params(ctx, c["e"]), shifts)
+    m = len(shifts)
+    return count, 4.0 * c["e"] ** ((m + 1) / (2 * m + 1))
 
 
-def _load_grid(path):
+def _product_J(c):
+    ctx = fc.make_context(c["p"])
+    return bl.product_count_J(ctx, c["nu"], c["lam"], c["s"], c["h"]), None
+
+
+def _product_set(c):
+    ctx = fc.make_context(c["p"])
+    count = bl.product_set_size(ctx, c["nu"], c["s"], c.get("t"), c["h"])
+    return count, float(c["h"] ** c["nu"])
+
+
+def _psi(c):
+    x, y = c["x"], c["y"]
+    u = math.log(x) / math.log(y) if y > 1 else 1.0
+    return bl.psi_count(x, y), x * u ** (-u) if u > 0 else float(x)
+
+
+def _smooth_subgroup(c):
+    return bl.smooth_subgroup_order(fc.make_context(c["p"]), c["y"]), None
+
+
+# Each lemma: the cell keys it reads and its count-and-envelope function.
+LEMMAS = {
+    "coset_run": (("p", "e"), _coset_run),
+    "hyperbola": (("p", "u", "v", "H"), _hyperbola),
+    "energy": (("p", "a", "H"), _energy),
+    "subgroup_shift": (("p", "e", "shifts"), _subgroup_shift),
+    "product_J": (("p", "nu", "lam", "s", "h"), _product_J),
+    "product_set": (("p", "nu", "s", "h", "t"), _product_set),
+    "psi": (("x", "y"), _psi),
+    "smooth_subgroup": (("p", "y"), _smooth_subgroup),
+}
+
+
+def _cells(args, required):
+    """The cells of the --grid file, else the one cell of whichever of --p
+    and --e were given; without --grid each flag in `required` must be."""
+    if not args.grid:
+        if any(getattr(args, flag) is None for flag in required):
+            flags = " and ".join(f"--{flag}" for flag in required)
+            raise ConfigError(f"{args.command} requires --grid or {flags}")
+        return [{k: v for k in ("p", "e") if (v := getattr(args, k)) is not None}]
     try:
-        with open(path) as f:
+        with open(args.grid) as f:
             grid = json.load(f)
     except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read grid file {path}: {exc}") from exc
+        raise ConfigError(f"cannot read grid file {args.grid}: {exc}") from exc
     if not isinstance(grid, list) or not all(isinstance(c, dict) for c in grid):
         raise ConfigError("grid file must hold a JSON list of cells (objects)")
     return grid
 
 
+def run_lab(args) -> list[dict]:
+    if not args.lemma:
+        raise ConfigError("lab requires --lemma")
+    if args.lemma not in LEMMAS:
+        raise ConfigError(f"unknown lemma {args.lemma!r}")
+    keys, count_of = LEMMAS[args.lemma]
+    rows = []
+    for cell in _cells(args, ("p",)):
+        _check_cell(cell, keys, f"lemma {args.lemma!r}")
+        row = {"lemma_id": args.lemma, **cell}
+        try:
+            count, predicted = count_of(cell)
+        except (TooLarge, TooSmall) as exc:
+            row["skipped"] = str(exc)
+        else:
+            row["exact_count"] = count
+            row["predicted"] = predicted
+            row["ratio"] = (count / predicted) if predicted else None
+        rows.append(row)
+    return rows
+
+
 def run_bench(args) -> list[dict]:
-    cells = _load_grid(args.grid) if args.grid else None
-    if cells is None:
-        if args.p is None or args.e is None:
-            raise ConfigError("bench requires --grid or --p and --e")
-        cells = [{"p": args.p, "e": args.e}]
-    algorithms = args.algorithms or ["interpolation", "zero_call_narrow", "randomized"]
+    cells = _cells(args, ("p", "e"))
     if args.trials < 1:
         raise ConfigError("bench requires trials >= 1")
-    policy = _policy_from(args)
+    policy = _policy(sr.ProbePolicy, window_cap=args.window_cap)
+    if not args.algorithms:
+        raise ConfigError("bench requires at least one name after --algorithms")
+    for algorithm in args.algorithms:
+        if algorithm not in sr.ALGORITHMS:
+            raise ConfigError(f"unknown algorithm {algorithm!r}")
     rows = []
     for cell in cells:
         _check_cell(cell, ("p", "e"), "bench")
         p, e = cell["p"], cell["e"]
         ctx = fc.make_context(p)
         params = fc.make_params(ctx, e)
-        for algorithm in algorithms:
-            rng = random.Random((args.seed or 0) ^ (p * 1000003 + e))
+        for algorithm in args.algorithms:
+            rng = random.Random(args.seed ^ (p * 1000003 + e))
             calls = []
             started = time.perf_counter()
             for trial in range(args.trials):
                 s = rng.randrange(p)
                 row = _run_one_recovery(
-                    ctx, params, s, algorithm, (args.seed or 0) + trial, policy
+                    ctx, params, s, algorithm, args.seed + trial, policy
                 )
                 calls.append(row["oracle_calls"])
             out = {
@@ -322,26 +315,17 @@ def _emit(rows, fmt, out):
     if fmt == "json":
         for row in rows:
             out.write(json.dumps(row) + "\n")
-    elif fmt == "csv":
-        keys: list[str] = []
-        for row in rows:
-            for k in row:
-                if k not in keys:
-                    keys.append(k)
+        return
+    # every key of every row, in the order of first appearance
+    keys = list(dict.fromkeys(k for row in rows for k in row))
+    if fmt == "csv":
         writer = csv.DictWriter(out, fieldnames=keys)
         writer.writeheader()
         for row in rows:
             writer.writerow(
                 {k: json.dumps(v) if isinstance(v, (list, dict)) else v for k, v in row.items()}
             )
-    else:  # table
-        if not rows:
-            return
-        keys = []
-        for row in rows:
-            for k in row:
-                if k not in keys:
-                    keys.append(k)
+    elif rows:  # table
         cells = [[str(row.get(k, "")) for k in keys] for row in rows]
         widths = [
             max(len(k), *(len(c[i]) for c in cells)) for i, k in enumerate(keys)
@@ -352,21 +336,25 @@ def _emit(rows, fmt, out):
 
 
 # Every flag a subcommand can take, as keyword arguments of `add_argument`;
-# `_fill_flags` gives the `default` to a flag left off the command line.
+# `_fill_flags` gives the `default` to a flag left off the command line, so
+# this table holds every default and the runners read `args` as it stands.
 FLAGS = {
     "p": {"type": int},
     "e": {"type": int},
     "s": {"type": int},
     "t": {"type": int},
-    "algorithm": {},
-    "algorithms": {"nargs": "*"},
-    "epsilon": {"type": float},
+    "algorithm": {"default": "zero_call_narrow"},
+    "algorithms": {
+        "nargs": "*",
+        "default": ("interpolation", "zero_call_narrow", "randomized"),
+    },
+    "epsilon": {"type": float, "default": it.HPolicy.epsilon},
     "window-cap": {"type": int},
     "seed": {"type": int, "default": 0},
     "trials": {"type": int, "default": 1},
     "output": {"choices": ("json", "csv", "table"), "default": "json"},
     "grid": {},
-    "mode": {"choices": ("exact", "theoretical")},
+    "mode": {"choices": ("exact", "theoretical"), "default": it.HPolicy.mode},
     "lemma": {},
     "timing": {"action": "store_true", "default": False},
 }
@@ -415,11 +403,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config_value(flag, value):
-    """`value` as `--flag` would have parsed it; ConfigError if it cannot be."""
+    """`value` as `--flag` would have parsed it, and null as the flag's
+    default; ConfigError if it cannot be."""
     spec = FLAGS[flag]
     kind = spec.get("type", str)
-    if value is None and spec.get("default") is None:
-        return None
+    if value is None:
+        return spec.get("default")
     if spec.get("action") == "store_true":
         ok = isinstance(value, bool)
     elif spec.get("nargs") == "*":

@@ -145,6 +145,123 @@ def test_lab_empty_grid(tmp_path):
     assert out == ""
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["lab", "--lemma", "nope", "--grid", "EMPTY"],
+        ["bench", "--grid", "EMPTY", "--algorithms", "nope"],
+        # no name at all, where the default three used to run
+        ["bench", "--p", "13", "--e", "3", "--algorithms"],
+        # the composite p is never reached: every name is checked first
+        ["bench", "--p", "12", "--e", "3", "--algorithms", "interpolation", "nope"],
+    ],
+)
+def test_unknown_name_exits_2_before_any_cell_runs(tmp_path, monkeypatch, capsys, argv):
+    contexts = []
+    monkeypatch.setattr(cli.fc, "make_context", contexts.append)
+    grid = tmp_path / "grid.json"
+    grid.write_text("[]")
+    argv = [str(grid) if a == "EMPTY" else a for a in argv]
+    assert run_main(argv) == (2, "")
+    assert capsys.readouterr().err.startswith("config error: ")
+    assert contexts == []
+
+
+# One cell per lemma and its whole JSON row, envelope included: a change to
+# any count or to any lemma's `predicted` shows here.
+GOLDEN_LAB_ROWS = [
+    {"lemma_id": "coset_run", "p": 211, "e": 30, "exact_count": 3,
+     "predicted": 9.361389277282864, "ratio": 0.3204652547971755},
+    {"lemma_id": "hyperbola", "p": 1009, "u": 3, "v": 5, "H": 260, "exact_count": 67,
+     "predicted": 135.4950887455559, "ratio": 0.4944828673887822},
+    {"lemma_id": "energy", "p": 211, "a": 5, "H": 14, "exact_count": 502,
+     "predicted": 2355.775908946889, "ratio": 0.2130932734703153},
+    {"lemma_id": "subgroup_shift", "p": 101, "e": 20, "shifts": [[1, 3], [1, 5]],
+     "exact_count": 2, "predicted": 24.13670534618065, "ratio": 0.08286135043349967},
+    {"lemma_id": "product_J", "p": 211, "nu": 3, "lam": 7, "s": 5, "h": 6,
+     "exact_count": 3, "predicted": None, "ratio": None},
+    {"lemma_id": "product_set", "p": 401, "nu": 3, "s": 5, "t": 9, "h": 7,
+     "exact_count": 82, "predicted": 343.0, "ratio": 0.239067055393586},
+    {"lemma_id": "psi", "x": 4100, "y": 7, "exact_count": 248,
+     "predicted": 8.232749206267076, "ratio": 30.12359465671724},
+    {"lemma_id": "smooth_subgroup", "p": 1009, "y": 3, "exact_count": 504,
+     "predicted": None, "ratio": None},
+]
+
+
+def _golden_lab(tmp_path, row, fmt):
+    cell = {
+        k: v for k, v in row.items()
+        if k not in ("lemma_id", "exact_count", "predicted", "ratio")
+    }
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps([cell]))
+    return run_main(["lab", "--lemma", row["lemma_id"], "--grid", str(grid), "--output", fmt])
+
+
+def test_golden_rows_cover_every_lemma():
+    assert [row["lemma_id"] for row in GOLDEN_LAB_ROWS] == list(cli.LEMMAS)
+
+
+@pytest.mark.parametrize("row", GOLDEN_LAB_ROWS, ids=lambda row: row["lemma_id"])
+def test_lab_json_row_is_pinned(tmp_path, row):
+    assert _golden_lab(tmp_path, row, "json") == (0, json.dumps(row) + "\n")
+
+
+def test_lab_csv_and_table_bytes_are_pinned(tmp_path):
+    row = GOLDEN_LAB_ROWS[3]
+    assert _golden_lab(tmp_path, row, "csv") == (
+        0,
+        "lemma_id,p,e,shifts,exact_count,predicted,ratio\r\n"
+        'subgroup_shift,101,20,"[[1, 3], [1, 5]]",2,24.13670534618065,0.08286135043349967\r\n',
+    )
+    assert _golden_lab(tmp_path, row, "table") == (
+        0,
+        "lemma_id        p    e   shifts            exact_count  predicted          ratio\n"
+        "subgroup_shift  101  20  [[1, 3], [1, 5]]  2            24.13670534618065  0.08286135043349967\n",
+    )
+
+
+@pytest.mark.parametrize(
+    "argv, defaults",
+    [
+        (["recover", "--p", "211", "--e", "30", "--seed", "5", "--trials", "3"],
+         ["--algorithm", "zero_call_narrow"]),
+        (["bench", "--p", "211", "--e", "30", "--trials", "3", "--seed", "9"],
+         ["--algorithms", "interpolation", "zero_call_narrow", "randomized"]),
+        (["identity", "--p", "211", "--e", "30", "--seed", "4"],
+         ["--mode", "exact", "--epsilon", "0.05"]),
+        (["identity", "--p", "211", "--e", "30", "--s", "5", "--t", "9"],
+         ["--mode", "exact", "--epsilon", "0.05"]),
+        (["identity", "--p", "1009", "--e", "12", "--s", "3", "--mode", "theoretical"],
+         ["--epsilon", "0.05"]),
+    ],
+)
+def test_flag_left_out_equals_its_default(argv, defaults):
+    code, out = run_main(argv)
+    assert code == 0 and out
+    assert run_main(argv + defaults) == (0, out)
+
+
+@pytest.mark.parametrize(
+    "argv, config",
+    [
+        (["identity", "--p", "211", "--e", "30", "--s", "5"],
+         {"mode": None, "epsilon": None, "seed": None}),
+        (["recover", "--p", "211", "--e", "30"],
+         {"algorithm": None, "trials": None, "output": None, "timing": None,
+          "seed": None, "window_cap": None}),
+        (["bench", "--p", "211", "--e", "30"], {"algorithms": None, "trials": None}),
+    ],
+)
+def test_config_null_is_the_flags_default(tmp_path, argv, config):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    code, out = run_main(argv)
+    assert code == 0 and out
+    assert run_main(["--config", str(cfg), *argv]) == (0, out)
+
+
 def test_bench_single_cell():
     code, out = run_main(
         ["bench", "--p", "13", "--e", "12", "--trials", "2", "--seed", "1",
