@@ -81,14 +81,6 @@ def _check_cell(cell, keys, who):
             raise ConfigError(f"{who} needs {key} >= 1, not {cell[key]}")
 
 
-def _policy(cls, **kwargs):
-    """`cls(**kwargs)`, with an out-of-range value as a ConfigError."""
-    try:
-        return cls(**kwargs)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
 def _run_one_recovery(ctx, params, s, algorithm, seed, policy):
     p, e = ctx.p, params.e
     oracle = new_oracle(ctx, params, s)
@@ -115,7 +107,7 @@ def run_recover(args) -> list[dict]:
         raise ConfigError("recover requires --p and --e")
     if args.trials < 1:
         raise ConfigError("recover requires trials >= 1")
-    policy = _policy(sr.ProbePolicy, window_cap=args.window_cap)
+    policy = sr.ProbePolicy(window_cap=args.window_cap)
     ctx = fc.make_context(p)
     params = fc.make_params(ctx, e)
     rng = random.Random(args.seed)
@@ -139,9 +131,7 @@ def run_identity(args) -> list[dict]:
         raise ConfigError("identity requires --p and --e")
     ctx = fc.make_context(p)
     params = fc.make_params(ctx, e)
-    policy = _policy(
-        it.HPolicy, mode=args.mode, epsilon=args.epsilon, cap=args.window_cap
-    )
+    policy = it.HPolicy(mode=args.mode, epsilon=args.epsilon, cap=args.window_cap)
     rng = random.Random(args.seed)
     s = args.s if args.s is not None else rng.randrange(p)
     variant = "known_t" if args.t is not None else "unknown_t"
@@ -274,7 +264,7 @@ def run_bench(args) -> list[dict]:
     cells = _cells(args, ("p", "e"))
     if args.trials < 1:
         raise ConfigError("bench requires trials >= 1")
-    policy = _policy(sr.ProbePolicy, window_cap=args.window_cap)
+    policy = sr.ProbePolicy(window_cap=args.window_cap)
     if not args.algorithms:
         raise ConfigError("bench requires at least one name after --algorithms")
     for algorithm in args.algorithms:

@@ -18,10 +18,6 @@ class Overflow(ShiftbreakError):
     pass
 
 
-class NoInverse(ShiftbreakError):
-    pass
-
-
 class TooLarge(ShiftbreakError):
     pass
 

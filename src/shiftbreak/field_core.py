@@ -18,7 +18,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .errors import NoInverse, NotDividing, NotPrime, Overflow, TooLarge
+from .errors import NotDividing, NotPrime, Overflow, TooLarge
 
 MAX_P = 2**61
 DENSE_TABLE_CAP = 2**24
@@ -163,12 +163,6 @@ def make_params(ctx: PrimeContext, e: int) -> ExponentParams:
     if e < 1 or (ctx.p - 1) % e != 0:
         raise NotDividing(f"e={e} does not divide p-1={ctx.p - 1}")
     return ExponentParams(e=e, d=(ctx.p - 1) // e, e_factors=factorize(e))
-
-
-def mod_inv(a: int, ctx: PrimeContext) -> int:
-    if a % ctx.p == 0:
-        raise NoInverse("zero has no inverse")
-    return pow(a, -1, ctx.p)
 
 
 def subgroup_elements(ctx: PrimeContext, params: ExponentParams) -> tuple[int, ...]:

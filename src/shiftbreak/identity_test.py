@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 
 from .bounds_lab import LOOP_CAP, longest_coset_run
-from .errors import MismatchedParams, OutOfRange, RangeViolation, TooLarge
+from .errors import ConfigError, MismatchedParams, OutOfRange, RangeViolation, TooLarge
 from .field_core import ExponentParams, PrimeContext, power_table
 from .oracle import ShiftOracle
 
@@ -33,11 +33,11 @@ class HPolicy:
 
     def __post_init__(self):
         if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
+            raise ConfigError("epsilon must be positive")
         if self.mode not in ("exact", "theoretical"):
-            raise ValueError(f"unknown mode {self.mode!r}")
+            raise ConfigError(f"unknown mode {self.mode!r}")
         if self.cap is not None and self.cap < 1:
-            raise ValueError("window cap must be at least 1")
+            raise ConfigError("window cap must be at least 1")
 
 
 def _cap(policy: HPolicy, p: int) -> int:

@@ -8,7 +8,9 @@ Strategies, all honest oracle clients:
  - large-e variant (m consecutive calls solved as one system, then narrowing)
 
 `recover` runs any of them by name.  A candidate set is a sorted tuple of
-shifts.
+shifts.  Every probe loop queries the inputs it picks: an oracle's forbidden
+inputs serve identity testing with a known t, and recovery with an oracle
+that forbids a probe it needs raises the oracle's ForbiddenInput.
 """
 
 from __future__ import annotations
@@ -20,12 +22,7 @@ import random
 from dataclasses import dataclass, field, replace
 
 from .errors import ConfigError, Stalled, TooLarge
-from .field_core import (
-    EXHAUSTIVE_CAP,
-    ExponentParams,
-    PrimeContext,
-    mod_inv,
-)
+from .field_core import EXHAUSTIVE_CAP, ExponentParams, PrimeContext
 from .oracle import ShiftOracle
 from .root_solver import (
     WitnessSet,
@@ -55,7 +52,7 @@ class ProbePolicy:
 
     def __post_init__(self):
         if self.window_cap is not None and self.window_cap < 1:
-            raise ValueError("window cap must be at least 1")
+            raise ConfigError("window cap must be at least 1")
 
 
 @dataclass
@@ -135,7 +132,7 @@ def initial_candidates_smooth(
 
 
 def _zeta(ctx: PrimeContext) -> int:
-    return mod_inv(math.isqrt(ctx.p), ctx)
+    return pow(math.isqrt(ctx.p), -1, ctx.p)
 
 
 def _probe_keys(p: int, e: int, S, x: int, zx: int | None) -> list[int]:
@@ -209,11 +206,7 @@ def narrow_candidates(
     while True:
         best_val, best_x, best_keys = None, None, None
         for x in range(scanned, h):
-            if x in oracle.forbidden:
-                continue
             zx = zeta * x % p if stat == "r" else None
-            if zx is not None and zx in oracle.forbidden:
-                continue
             if x in agreed and (zx is None or zx in agreed):
                 continue
             keys = _probe_keys(p, e, S, x, zx)
@@ -239,27 +232,17 @@ def narrow_candidates(
     return kept
 
 
-def _resolve_small(oracle: ShiftOracle, S, trace: RecoveryTrace | None) -> int:
-    """Query x = -t in ascending order until the oracle returns 0.
-
-    A candidate is returned unqueried only once every other candidate has
-    been ruled out by a query: with no forbidden input that is the last one.
-    A candidate whose probe -t is forbidden cannot be tested, so two such
-    candidates left over stall.
-    """
-    p = oracle.ctx.p
-    testable = sorted(t for t in S if (-t) % p not in oracle.forbidden)
-    unqueried = [t for t in S if (-t) % p in oracle.forbidden]
-    if not unqueried and testable:
-        unqueried.append(testable.pop())  # the last candidate is free
-    for t in testable:
-        if oracle.query((-t) % p) == 0:
+def _resolve_small(oracle: ShiftOracle, S) -> int:
+    """Query x = -t in ascending order until the oracle returns 0; the
+    largest candidate is returned unqueried once all others are ruled out.
+    Stalled on an empty set."""
+    if not S:
+        raise Stalled("no candidate left; true shift lost upstream")
+    *rest, last = sorted(S)
+    for t in rest:
+        if oracle.query(-t) == 0:
             return t
-    if len(unqueried) == 1:
-        return unqueried[0]
-    if unqueried:
-        raise Stalled(f"{len(unqueried)} candidates left with a forbidden probe")
-    raise Stalled("no candidate matched; true shift lost upstream")
+    return last
 
 
 def recover_from_candidates(
@@ -281,7 +264,7 @@ def recover_from_candidates(
     probe rules out more than one candidate: resolve directly.
     """
     if oracle.params.d == 1:
-        return _resolve_small(oracle, S0, trace)
+        return _resolve_small(oracle, S0)
     p = oracle.ctx.p
     S = S0
     agreed = set(agreed)
@@ -293,7 +276,7 @@ def recover_from_candidates(
         stat = "r" if len(S) > threshold else "R"
         S = narrow_candidates(oracle, S, policy, stat, trace, agreed)
         rounds += 1
-    return _resolve_small(oracle, S, trace)
+    return _resolve_small(oracle, S)
 
 
 def recover_zero_call_narrow(
@@ -334,7 +317,7 @@ def recover_randomized(
     """
     ctx, params = oracle.ctx, oracle.params
     if params.d == 1:
-        return _resolve_small(oracle, S0, trace)
+        return _resolve_small(oracle, S0)
     p, e = ctx.p, params.e
     nu = randomized_probe_count(p, e)
     rng = random.Random(seed)
@@ -343,13 +326,11 @@ def recover_randomized(
         if len(S) <= 1:
             break
         x = rng.randrange(p)
-        if x in oracle.forbidden:
-            continue
         a = oracle.query(x)
         S = {t for t in S if pow(t + x, e, p) == a}
         if trace is not None:
             trace.rounds.append(("random", x, None, len(S)))
-    return _resolve_small(oracle, sorted(S), trace)
+    return _resolve_small(oracle, S)
 
 
 def large_e_call_count(p: int, e: int) -> int:
@@ -359,9 +340,9 @@ def large_e_call_count(p: int, e: int) -> int:
 
 def _scan_candidates(
     oracle: ShiftOracle, trace: RecoveryTrace | None = None
-) -> tuple[int, ...] | int:
+) -> tuple[int, ...]:
     """m consecutive queries at x = 1..m, then the x with (x + j)^e = A_j for
-    every j; returns the shift directly when some answer is zero.
+    every j; a zero answer at x = j leaves the one candidate -j.
 
     With y = x + 1 the system is (y + j)^e = A_(j+1) for j = 0..m-1, which
     `consecutive_roots` solves; no root y is 0, as that needs A_1 = 0, so
@@ -374,7 +355,7 @@ def _scan_candidates(
     for j in range(1, m + 1):
         a = oracle.query(j)
         if a == 0:
-            return (-j) % p
+            return ((-j) % p,)
         answers.append(a)
     members = tuple(y - 1 for y in consecutive_roots(ctx, params, answers))
     if trace is not None:
@@ -393,14 +374,12 @@ def recover_large_e(
     p, e = ctx.p, params.e
     if e <= p**0.9:
         return recover_zero_call_narrow(oracle, policy, trace)
-    got = _scan_candidates(oracle, trace)
-    if isinstance(got, int):
-        return got
+    S = _scan_candidates(oracle, trace)
     h = int((p / e) * math.sqrt(p) * math.log(p) ** 2)
     window = max(1, min(h, _cap(policy, p)))
     wide = replace(policy, initial_window=window)
     m = large_e_call_count(p, e)
-    return recover_from_candidates(oracle, got, wide, trace, range(1, m + 1))
+    return recover_from_candidates(oracle, S, wide, trace, range(1, m + 1))
 
 
 def recover(
@@ -412,7 +391,9 @@ def recover(
 ) -> int:
     """Recover the shift with the algorithm named `algorithm`, one of
     ALGORITHMS; `seed` is read by `randomized` only, and `interpolation`
-    reads neither `policy` nor `trace`.  ConfigError for any other name."""
+    reads neither `policy` nor `trace`.  ConfigError for any other name;
+    ForbiddenInput (from the oracle) if a probe the algorithm picks is
+    forbidden."""
     if algorithm == "interpolation":
         return interpolation_recover(oracle)
     if algorithm == "zero_call_narrow":

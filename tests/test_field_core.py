@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shiftbreak import field_core as fc
-from shiftbreak.errors import NoInverse, NotPrime, Overflow, TooLarge
+from shiftbreak.errors import NotPrime, Overflow, TooLarge
 
 SMALL_PRIMES = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53]
 
@@ -131,14 +131,6 @@ def test_make_context_60_bit(p, factors):
     assert time.perf_counter() - started < 2.0
     assert ctx.group_order_factors == factors
     assert all(pow(ctx.g, (p - 1) // ell, p) != 1 for ell, _ in factors)
-
-
-def test_mod_inv_examples():
-    ctx = fc.make_context(13)
-    assert fc.mod_inv(5, ctx) == 8
-    assert fc.mod_inv(1, ctx) == 1
-    with pytest.raises(NoInverse):
-        fc.mod_inv(0, ctx)
 
 
 def test_subgroup_elements_examples():

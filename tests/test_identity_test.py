@@ -3,7 +3,13 @@ import pytest
 from shiftbreak import field_core as fc
 from shiftbreak import identity_test as it
 from shiftbreak import bounds_lab as bl
-from shiftbreak.errors import MismatchedParams, OutOfRange, RangeViolation, TooLarge
+from shiftbreak.errors import (
+    ConfigError,
+    MismatchedParams,
+    OutOfRange,
+    RangeViolation,
+    TooLarge,
+)
 from shiftbreak.oracle import new_oracle
 
 
@@ -71,7 +77,7 @@ def test_known_t_rejects_t_outside_the_field():
 
 def test_window_cap_below_one_is_rejected():
     for cap in (0, -5):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             it.HPolicy(cap=cap)
     assert it.HPolicy(cap=1).cap == 1
 

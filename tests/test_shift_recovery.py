@@ -5,7 +5,7 @@ import pytest
 
 from shiftbreak import field_core as fc
 from shiftbreak import shift_recovery as sr
-from shiftbreak.errors import ConfigError, Stalled, TooLarge
+from shiftbreak.errors import ConfigError, ForbiddenInput, Stalled, TooLarge
 from shiftbreak.oracle import new_oracle
 from shiftbreak.root_solver import full_witness_set
 
@@ -178,8 +178,6 @@ def stat_reference_narrow(o, S, policy, stat):
     while True:
         best = None
         for x in range(scanned, h):
-            if x in o.forbidden or (stat == "r" and zeta * x % p in o.forbidden):
-                continue
             v = stat_fn(o.ctx, o.params, S, x)
             if best is None or v < best[0]:
                 best = (v, x)
@@ -211,12 +209,11 @@ def test_narrowing_matches_the_statistic_reference():
             params = fc.make_params(ctx, e)
             for _ in range(3):
                 s = rng.randrange(p)
-                forbidden = frozenset({rng.randrange(1, 4)})
-                o = new_oracle(ctx, params, s, forbidden)
+                o = new_oracle(ctx, params, s)
                 S = sr.initial_candidates_zero_call(o, full_witness_set(ctx, params))
                 while len(S) > 1:
                     for stat in ("r", "R"):
-                        o, ref = (new_oracle(ctx, params, s, forbidden) for _ in "ab")
+                        o, ref = (new_oracle(ctx, params, s) for _ in "ab")
                         trace = sr.RecoveryTrace()
                         got = sr.narrow_candidates(o, S, sr.ProbePolicy(), stat, trace)
                         want = stat_reference_narrow(ref, S, sr.ProbePolicy(), stat)
@@ -283,7 +280,7 @@ def test_large_e_call_count_example():
 def test_scan_phase_zero_shortcut():
     # s = -1: the j=1 query answers 0 and the shift is read off directly
     o = make(13, 6, 12)
-    assert sr._scan_candidates(o) == 12
+    assert sr._scan_candidates(o) == (12,)
     assert o.calls == 1
 
 
@@ -319,7 +316,7 @@ def test_smooth_narrow_recovers():
 
 def test_probe_policy_validation():
     for cap in (0, -5):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             sr.ProbePolicy(window_cap=cap)
     assert sr.ProbePolicy(window_cap=1).window_cap == 1
 
@@ -448,7 +445,7 @@ def table_scan(oracle):
     for j in range(1, m + 1):
         a = oracle.query(j)
         if a == 0:
-            return (-j) % p
+            return ((-j) % p,)
         answers.append(a)
     tab = [pow(x, e, p) for x in range(p)]
     return tuple(
@@ -578,22 +575,38 @@ def test_d1_resolves_candidates_by_x_minus_t():
             assert calls == [1] + [1 + min(s, p - 2) for s in range(1, p)]
 
 
-def test_resolve_small_queries_around_a_forbidden_probe():
-    # s = 5, S_0 = (2, 5, 6); the probe x = -5 = 8 is forbidden, so 5 is
-    # returned only after x = 11 and x = 7 rule out 2 and 6
+def test_recovery_raises_on_a_forbidden_probe():
+    # s = 5, S_0 = (2, 5, 6): resolution queries x = -2 = 11, then x = -5 = 8,
+    # which the oracle forbids; recovery does not route around it
     ctx = fc.make_context(13)
     params = fc.make_params(ctx, 3)
     o = new_oracle(ctx, params, 5, frozenset({8}))
-    assert sr.recover_zero_call_narrow(o) == 5
-    assert o.calls == 3
+    with pytest.raises(ForbiddenInput):
+        sr.recover_zero_call_narrow(o)
+    assert o.calls == 2
+
+
+def test_resolve_small_queries_around_a_forbidden_probe():
+    # S_0 = (2, 5, 6): resolution queries x = -2 = 11 and x = -5 = 8 only,
+    # and the largest candidate 6 is returned unqueried, so a forbidden
+    # x = -6 = 7 is never asked
+    ctx = fc.make_context(13)
+    params = fc.make_params(ctx, 3)
+    for s, calls in ((2, 2), (5, 3), (6, 3)):
+        o = new_oracle(ctx, params, s, frozenset({7}))
+        assert sr.recover_zero_call_narrow(o) == s
+        assert o.calls == calls
 
 
 def test_resolve_small_stalls_on_two_untestable_candidates():
-    # probes -5 = 8 and -6 = 7 forbidden: 5 and 6 cannot be told apart
+    # probes -5 = 8 and -6 = 7 forbidden: recovery no longer stalls on the
+    # two untestable candidates 5 and 6 but raises the oracle's
+    # ForbiddenInput at x = 8; a shift resolved before that probe is found
     ctx = fc.make_context(13)
     params = fc.make_params(ctx, 3)
-    with pytest.raises(Stalled):
-        sr.recover_zero_call_narrow(new_oracle(ctx, params, 5, frozenset({7, 8})))
+    for s in (5, 6):
+        with pytest.raises(ForbiddenInput):
+            sr.recover_zero_call_narrow(new_oracle(ctx, params, s, frozenset({7, 8})))
     o = new_oracle(ctx, params, 2, frozenset({7, 8}))
     assert sr.recover_zero_call_narrow(o) == 2  # x = 11 answers 0
     assert o.calls == 2
