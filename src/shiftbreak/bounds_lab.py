@@ -27,14 +27,13 @@ from .errors import (
 )
 from .field_core import (
     EXHAUSTIVE_CAP,
+    LOOP_CAP,
     ExponentParams,
     PrimeContext,
     character_eval,
     is_prime,
     subgroup_elements,
 )
-
-LOOP_CAP = 10**8
 
 
 @functools.lru_cache(maxsize=4096)
@@ -138,8 +137,10 @@ def product_count_J(
 ) -> int:
     """Tuples (x_1..x_nu) in [1,h]^nu with prod (x_i + s) = lambda.
 
-    Meet-in-the-middle over a half-split; both halves stay exact.
-    OutOfRange unless nu, h >= 1.
+    A product is 0 exactly when some factor is, so lambda = 0 counts
+    h^nu - (h - z)^nu, z the number of x in [1, h] with x + s = 0.  Any
+    other lambda: meet-in-the-middle over a half-split; both halves stay
+    exact.  OutOfRange unless nu, h >= 1.
     """
     p = ctx.p
     if nu < 1 or h < 1:
@@ -147,6 +148,9 @@ def product_count_J(
     if h**nu > LOOP_CAP:
         raise TooLarge(f"h^nu = {h**nu} above loop cap")
     lam %= p
+    if lam == 0:
+        z = len(range((-s - 1) % p + 1, h + 1, p))  # the x = -s mod p
+        return h**nu - (h - z) ** nu
     left = nu // 2
     right = nu - left
 
@@ -161,18 +165,8 @@ def product_count_J(
             acc = nxt
         return acc
 
-    if left == 0:
-        return products(right).get(lam, 0)
     lhs = products(left)
     rhs = products(right)
-    if lam == 0:
-        # zero products: some factor hit 0 on either side
-        return sum(
-            c * rc
-            for v, c in lhs.items()
-            for w, rc in rhs.items()
-            if v * w % p == 0
-        )
     total = 0
     for v, c in rhs.items():
         if v == 0:

@@ -32,20 +32,8 @@ from . import bounds_lab as bl
 from . import field_core as fc
 from . import identity_test as it
 from . import shift_recovery as sr
-from .errors import (
-    AlgorithmFailure,
-    ConfigError,
-    ShiftbreakError,
-    Stalled,
-    TooLarge,
-    TooSmall,
-)
+from .errors import AlgorithmFailure, ConfigError, ResourceLimit, ShiftbreakError
 from .oracle import new_oracle
-
-EXIT_OK = 0
-EXIT_CONFIG = 2
-EXIT_DEFECT = 3
-EXIT_RESOURCE = 4
 
 
 # The cell keys that must hold at least 1: box sizes, exponents, psi's x.
@@ -250,7 +238,7 @@ def run_lab(args) -> list[dict]:
         row = {"lemma_id": args.lemma, **cell}
         try:
             count, predicted = count_of(cell)
-        except (TooLarge, TooSmall) as exc:
+        except ResourceLimit as exc:
             row["skipped"] = str(exc)
         else:
             row["exact_count"] = count
@@ -442,25 +430,17 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:
-        return EXIT_CONFIG if exc.code not in (0, None) else 0
+        return 2 if exc.code not in (0, None) else 0
     try:
         runner, flags = SUBCOMMANDS[args.command]
         _fill_flags(args, flags)
         rows = runner(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except AlgorithmFailure as exc:
-        print(f"algorithm defect: {exc}", file=sys.stderr)
-        return EXIT_DEFECT
-    except (TooLarge, TooSmall, Stalled) as exc:
-        print(f"resource cap: {exc}", file=sys.stderr)
-        return EXIT_RESOURCE
     except ShiftbreakError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        # each error class carries its exit code and label (errors.py)
+        print(f"{exc.label}: {exc}", file=sys.stderr)
+        return exc.exit_code
     _emit(rows, args.output, sys.stdout)
-    return EXIT_OK
+    return 0
 
 
 if __name__ == "__main__":

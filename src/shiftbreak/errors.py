@@ -1,12 +1,21 @@
 """Error taxonomy shared by every module.
 
 All errors derive from ShiftbreakError so callers can catch the library's
-failures without swallowing unrelated exceptions.
+failures without swallowing unrelated exceptions.  Each class carries the
+`shiftbreak` exit code and message label it is reported with.
 """
 
 
 class ShiftbreakError(Exception):
-    pass
+    exit_code = 2
+    label = "error"
+
+
+class ResourceLimit(ShiftbreakError):
+    """A stated cap, or a search that stalled, stopped the computation."""
+
+    exit_code = 4
+    label = "resource cap"
 
 
 # field_core
@@ -18,7 +27,7 @@ class Overflow(ShiftbreakError):
     pass
 
 
-class TooLarge(ShiftbreakError):
+class TooLarge(ResourceLimit):
     pass
 
 
@@ -57,7 +66,7 @@ class LengthMismatch(ShiftbreakError):
 
 
 # shift_recovery
-class Stalled(ShiftbreakError):
+class Stalled(ResourceLimit):
     pass
 
 
@@ -87,14 +96,15 @@ class PrincipalCharacter(ShiftbreakError):
     pass
 
 
-class TooSmall(ShiftbreakError):
+class TooSmall(ResourceLimit):
     pass
 
 
 # cli
 class ConfigError(ShiftbreakError):
-    pass
+    label = "config error"
 
 
 class AlgorithmFailure(ShiftbreakError):
-    pass
+    exit_code = 3
+    label = "algorithm defect"

@@ -26,6 +26,9 @@ DENSE_TABLE_CAP = 2**24
 # root sets, the interpolation baseline, the longest coset run and the list
 # of G_e.
 EXHAUSTIVE_CAP = 10**6
+# Largest number of steps for the loops whose cost is a stated product: the
+# lab's boxes, the exhaustive identity window and a narrowing window's pows.
+LOOP_CAP = 10**8
 
 # Witness set valid for deterministic Miller-Rabin below 2^64.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -34,7 +37,7 @@ _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 def is_prime(n: int) -> bool:
     if n < 2:
         return False
-    for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for q in _MR_WITNESSES:
         if n % q == 0:
             return n == q
     d = n - 1

@@ -16,9 +16,9 @@ import functools
 import math
 from dataclasses import dataclass
 
-from .bounds_lab import LOOP_CAP, longest_coset_run
+from .bounds_lab import longest_coset_run
 from .errors import ConfigError, MismatchedParams, OutOfRange, RangeViolation, TooLarge
-from .field_core import ExponentParams, PrimeContext, power_table
+from .field_core import LOOP_CAP, ExponentParams, PrimeContext, power_table
 from .oracle import ShiftOracle
 
 EQUAL = "equal"

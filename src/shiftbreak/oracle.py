@@ -7,8 +7,6 @@ assertions only.
 
 from __future__ import annotations
 
-import threading
-
 from .errors import ForbiddenInput, OutOfRange
 from .field_core import ExponentParams, PrimeContext
 
@@ -28,15 +26,13 @@ class ShiftOracle:
         self.forbidden = frozenset(x % ctx.p for x in forbidden)
         self.__s = s
         self._calls = 0
-        self._lock = threading.Lock()
 
     def query(self, x: int) -> int:
         x %= self.ctx.p
         if x in self.forbidden:
             # Rejections carry no information about s and are not counted.
             raise ForbiddenInput(f"x={x} is forbidden")
-        with self._lock:
-            self._calls += 1
+        self._calls += 1
         return pow((x + self.__s) % self.ctx.p, self.params.e, self.ctx.p)
 
     @property

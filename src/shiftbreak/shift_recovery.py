@@ -7,10 +7,11 @@ Strategies, all honest oracle clients:
  - randomized probing (seeded, mean O(1) calls)
  - large-e variant (m consecutive calls solved as one system, then narrowing)
 
-`recover` runs any of them by name.  A candidate set is a sorted tuple of
-shifts.  Every probe loop queries the inputs it picks: an oracle's forbidden
-inputs serve identity testing with a known t, and recovery with an oracle
-that forbids a probe it needs raises the oracle's ForbiddenInput.
+`recover` runs any of them by name, through the `ALGORITHMS` table.  A
+candidate set is a sorted tuple of shifts.  Every probe loop queries the
+inputs it picks: an oracle's forbidden inputs serve identity testing with a
+known t, and recovery with an oracle that forbids a probe it needs raises the
+oracle's ForbiddenInput.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import random
 from dataclasses import dataclass, field, replace
 
 from .errors import ConfigError, Stalled, TooLarge
-from .field_core import EXHAUSTIVE_CAP, ExponentParams, PrimeContext
+from .field_core import EXHAUSTIVE_CAP, LOOP_CAP, ExponentParams, PrimeContext
 from .oracle import ShiftOracle
 from .root_solver import (
     WitnessSet,
@@ -34,14 +35,6 @@ from .root_solver import (
 
 FINAL_SET_THRESHOLD = 4  # resolve by x = -t queries at or below this size
 STALL_FACTOR = 2  # a probe window that certifies no shrinkage grows by this
-
-ALGORITHMS = (
-    "interpolation",
-    "zero_call_narrow",
-    "smooth_narrow",
-    "randomized",
-    "large_e",
-)
 
 
 @dataclass(frozen=True)
@@ -184,7 +177,8 @@ def narrow_candidates(
     The probe is the smallest x minimizing the statistic; the window doubles
     while no probe certifies strict shrinkage.  The chosen probe's predicted
     answers are kept from the scan and filter the set, so no power is
-    computed twice.
+    computed twice.  A window segment costs |S| pow calls per probe (2|S|
+    for r); TooLarge before a segment whose cost passes LOOP_CAP.
 
     `agreed` holds points at which every member of S is known to predict the
     same answer.  A probe whose points (x for R, x and zeta*x for r) all lie
@@ -204,6 +198,8 @@ def narrow_candidates(
         agreed = set()
     scanned = 0
     while True:
+        if (h - scanned) * size * (2 if stat == "r" else 1) > LOOP_CAP:
+            raise TooLarge(f"{h - scanned} probes on {size} candidates above loop cap")
         best_val, best_x, best_keys = None, None, None
         for x in range(scanned, h):
             zx = zeta * x % p if stat == "r" else None
@@ -279,13 +275,18 @@ def recover_from_candidates(
     return _resolve_small(oracle, S)
 
 
+def _zero_call_seed(oracle: ShiftOracle) -> tuple[int, ...]:
+    """S_0 from one call at x = 0, with the full witness set."""
+    wits = full_witness_set(oracle.ctx, oracle.params)
+    return initial_candidates_zero_call(oracle, wits)
+
+
 def recover_zero_call_narrow(
     oracle: ShiftOracle,
     policy: ProbePolicy = ProbePolicy(),
     trace: RecoveryTrace | None = None,
 ) -> int:
-    wits = full_witness_set(oracle.ctx, oracle.params)
-    S0 = initial_candidates_zero_call(oracle, wits)
+    S0 = _zero_call_seed(oracle)
     return recover_from_candidates(oracle, S0, policy, trace, (0,))
 
 
@@ -382,6 +383,20 @@ def recover_large_e(
     return recover_from_candidates(oracle, S, wide, trace, range(1, m + 1))
 
 
+# Each algorithm's runner(oracle, policy, seed, trace).  A runner looks its
+# recover_* function up when it is called, so a wrapper installed on the
+# module attribute also sees the calls made by name.
+ALGORITHMS = {
+    "interpolation": lambda o, pol, seed, tr: interpolation_recover(o),
+    "zero_call_narrow": lambda o, pol, seed, tr: recover_zero_call_narrow(o, pol, tr),
+    "smooth_narrow": lambda o, pol, seed, tr: recover_smooth_narrow(o, pol, tr),
+    "randomized": lambda o, pol, seed, tr: recover_randomized(
+        o, _zero_call_seed(o), seed, tr
+    ),
+    "large_e": lambda o, pol, seed, tr: recover_large_e(o, pol, tr),
+}
+
+
 def recover(
     oracle: ShiftOracle,
     algorithm: str,
@@ -389,21 +404,11 @@ def recover(
     seed: int = 0,
     trace: RecoveryTrace | None = None,
 ) -> int:
-    """Recover the shift with the algorithm named `algorithm`, one of
+    """Recover the shift with the algorithm named `algorithm`, a key of
     ALGORITHMS; `seed` is read by `randomized` only, and `interpolation`
     reads neither `policy` nor `trace`.  ConfigError for any other name;
     ForbiddenInput (from the oracle) if a probe the algorithm picks is
     forbidden."""
-    if algorithm == "interpolation":
-        return interpolation_recover(oracle)
-    if algorithm == "zero_call_narrow":
-        return recover_zero_call_narrow(oracle, policy, trace)
-    if algorithm == "smooth_narrow":
-        return recover_smooth_narrow(oracle, policy, trace)
-    if algorithm == "randomized":
-        wits = full_witness_set(oracle.ctx, oracle.params)
-        S0 = initial_candidates_zero_call(oracle, wits)
-        return recover_randomized(oracle, S0, seed, trace)
-    if algorithm == "large_e":
-        return recover_large_e(oracle, policy, trace)
-    raise ConfigError(f"unknown algorithm {algorithm!r}")
+    if algorithm not in ALGORITHMS:
+        raise ConfigError(f"unknown algorithm {algorithm!r}")
+    return ALGORITHMS[algorithm](oracle, policy, seed, trace)

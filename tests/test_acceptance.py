@@ -18,6 +18,8 @@ from shiftbreak import shift_recovery as sr
 from shiftbreak.oracle import new_oracle
 from shiftbreak.root_solver import all_eth_roots, full_witness_set
 
+from reference import divisors, naive_energy, naive_hyperbola, naive_J, primes_below
+
 CALL_THRESHOLD = 24  # policy constant for the efficiency criterion
 
 
@@ -29,14 +31,6 @@ def criterion(label):
         print(f"[ACCEPT] {label}: FAIL", flush=True)
         raise
     print(f"[ACCEPT] {label}: PASS", flush=True)
-
-
-def primes_below(n):
-    return [p for p in range(3, n) if fc.is_prime(p)]
-
-
-def divisors(n):
-    return [d for d in range(1, n + 1) if n % d == 0]
 
 
 def test_01_root_sets_match_brute_force():
@@ -193,37 +187,6 @@ def test_06_coset_run_lengths():
             f"[ACCEPT]   max N(e)/e^0.5 = {ratio_half:.3f}, "
             f"max N(e)/e^0.25 = {ratio_quarter:.3f} (reported, not asserted)"
         )
-
-
-def naive_hyperbola(p, u, v, H):
-    return sum(
-        1
-        for x in range(1, H + 1)
-        for y in range(1, H + 1)
-        if (x + u) * (y + u) % p == v % p
-    )
-
-
-def naive_energy(p, a, H):
-    vals = [(a + x) % p for x in range(1, H + 1)]
-    return sum(
-        1
-        for x1 in vals
-        for x2 in vals
-        for x3 in vals
-        for x4 in vals
-        if x1 * x2 % p == x3 * x4 % p
-    )
-
-
-def naive_J(p, nu, lam, s, h):
-    import itertools
-
-    return sum(
-        1
-        for xs in itertools.product(range(1, h + 1), repeat=nu)
-        if math.prod((x + s) % p for x in xs) % p == lam % p
-    )
 
 
 def naive_product_set(p, nu, s, t, h):

@@ -16,14 +16,13 @@ from shiftbreak.errors import (
     TooSmall,
 )
 
-
-def divisors(n):
-    return [d for d in range(1, n + 1) if n % d == 0]
-
-
-def primes_below(n):
-    return [p for p in range(3, n) if fc.is_prime(p)]
-
+from reference import (
+    divisors,
+    naive_energy,
+    naive_hyperbola,
+    naive_J,
+    primes_below,
+)
 
 MERSENNE_61 = 2**61 - 1
 
@@ -135,15 +134,6 @@ def test_coset_run_caps_e_not_p():
 # --- hyperbola_count ---
 
 
-def naive_hyperbola(p, u, v, H):
-    return sum(
-        1
-        for x in range(1, H + 1)
-        for y in range(1, H + 1)
-        if (x + u) * (y + u) % p == v % p
-    )
-
-
 def test_hyperbola_anchors():
     assert bl.hyperbola_count(13, 0, 1, 3) == 1
     assert bl.hyperbola_count(13, 0, 1, 12) == 12
@@ -166,17 +156,6 @@ def test_hyperbola_matches_naive_random():
 
 
 # --- multiplicative_energy_count ---
-
-
-def naive_energy(p, a, H):
-    return sum(
-        1
-        for x1 in range(1, H + 1)
-        for x2 in range(1, H + 1)
-        for x3 in range(1, H + 1)
-        for x4 in range(1, H + 1)
-        if (a + x1) * (a + x2) % p == (a + x3) * (a + x4) % p
-    )
 
 
 def test_energy_anchors():
@@ -242,16 +221,6 @@ def test_intersection_matches_naive_random():
 # --- product_count_J ---
 
 
-def naive_J(p, nu, lam, s, h):
-    import itertools
-
-    return sum(
-        1
-        for xs in itertools.product(range(1, h + 1), repeat=nu)
-        if math.prod((x + s) % p for x in xs) % p == lam % p
-    )
-
-
 def test_J_anchors():
     ctx = fc.make_context(13)
     assert bl.product_count_J(ctx, 2, 1, 0, 3) == 1
@@ -270,6 +239,25 @@ def test_J_matches_naive_random():
         s = rng.randrange(p)
         h = rng.randrange(1, 10)
         assert bl.product_count_J(ctx, nu, lam, s, h) == naive_J(p, nu, lam, s, h)
+
+
+def test_J_at_lambda_zero_matches_naive():
+    # h^nu - (h - z)^nu: no zero factor (z = 0), one (x = p - s <= h), and
+    # several once h passes p; lambda = p is lambda = 0 too
+    for p in (13, 29):
+        ctx = fc.make_context(p)
+        for nu in range(1, 5):
+            for s in (0, 1, p - 3, p - 1, p + 2, -4):
+                for h in (1, 2, 5, p - 1, p + 2):
+                    if h**nu > 10**5:
+                        continue
+                    for lam in (0, p):
+                        assert bl.product_count_J(ctx, nu, lam, s, h) == naive_J(
+                            p, nu, lam, s, h
+                        ), (p, nu, s, h)
+    ctx = fc.make_context(13)
+    assert bl.product_count_J(ctx, 2, 0, 10, 5) == 9  # x = 3 in either slot
+    assert bl.product_count_J(ctx, 3, 0, 1, 5) == 0
 
 
 # --- product_set_size ---

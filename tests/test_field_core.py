@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from shiftbreak import field_core as fc
 from shiftbreak.errors import NotPrime, Overflow, TooLarge
 
+from reference import divisors
+
 SMALL_PRIMES = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53]
 
 
@@ -21,10 +23,6 @@ def brute_least_primitive_root(p):
         if len(seen) == p - 1:
             return g
     raise AssertionError
-
-
-def divisors(n):
-    return [d for d in range(1, n + 1) if n % d == 0]
 
 
 def trial_division_factorize(n):

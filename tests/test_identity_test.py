@@ -12,14 +12,12 @@ from shiftbreak.errors import (
 )
 from shiftbreak.oracle import new_oracle
 
+from reference import divisors
+
 
 def make(p, e, s, forbidden=frozenset()):
     ctx = fc.make_context(p)
     return new_oracle(ctx, fc.make_params(ctx, e), s, forbidden)
-
-
-def divisors(n):
-    return [d for d in range(1, n + 1) if n % d == 0]
 
 
 def test_choose_h_exact_known_t_anchor():

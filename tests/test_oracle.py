@@ -1,5 +1,3 @@
-import threading
-
 import pytest
 
 from shiftbreak import field_core as fc
@@ -50,19 +48,3 @@ def test_secret_sealed_from_public_surface():
     assert not hasattr(o, "s")
     assert not hasattr(o, "secret")
     assert unsafe_reveal_secret(o) == 5
-
-
-def test_counter_exact_under_threads():
-    o = make()
-    n_threads, per_thread = 8, 250
-
-    def worker():
-        for x in range(per_thread):
-            o.query(x % 13)
-
-    threads = [threading.Thread(target=worker) for _ in range(n_threads)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    assert o.calls == n_threads * per_thread

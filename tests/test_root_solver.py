@@ -15,6 +15,8 @@ from shiftbreak.errors import (
     TooLarge,
 )
 
+from reference import divisors
+
 PRIMES = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 53, 61, 73, 97]
 MERSENNE_61 = 2**61 - 1
 SAFE_PRIME_48 = 140737488356903  # 2q + 1 with q prime
@@ -26,10 +28,6 @@ LARGE_CELLS = [
     (SAFE_PRIME_48, (2,)),
     (RHO_PRIME, (2,)),
 ]
-
-
-def divisors(n):
-    return [d for d in range(1, n + 1) if n % d == 0]
 
 
 def brute_roots(p, e, A):

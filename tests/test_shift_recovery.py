@@ -1,5 +1,9 @@
 import hashlib
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -9,11 +13,9 @@ from shiftbreak.errors import ConfigError, ForbiddenInput, Stalled, TooLarge
 from shiftbreak.oracle import new_oracle
 from shiftbreak.root_solver import full_witness_set
 
+from reference import divisors
+
 PRIMES = [5, 7, 11, 13, 17, 19, 23, 29, 31, 41, 61]
-
-
-def divisors(n):
-    return [d for d in range(1, n + 1) if n % d == 0]
 
 
 def make(p, e, s):
@@ -485,6 +487,39 @@ def test_large_e_at_d2_builds_no_power_table(no_power_table, p):
     rng = random.Random(p)
     for s in [p - 1, 0] + [rng.randrange(p) for _ in range(4)]:
         assert sr.recover_large_e(make(p, e, s)) == s, (p, s)
+
+
+LARGE_E_CAP_SCRIPT = """
+from shiftbreak import field_core as fc, shift_recovery as sr
+from shiftbreak.errors import TooLarge
+from shiftbreak.oracle import new_oracle
+
+ctx = fc.make_context(100003)
+o = new_oracle(ctx, fc.make_params(ctx, 50001), 12345)
+try:
+    sr.recover_large_e(o)
+except TooLarge:
+    print(o.calls)
+"""
+
+
+def test_large_e_caps_its_first_window_at_d2():
+    # p = 100003, d = 2: the first window, h = (p/e) sqrt(p) ln(p)^2 probes
+    # at 2|S| pows each, costs about 2.6e8 > LOOP_CAP, so TooLarge follows
+    # the m = 6 scan calls at once.  In a subprocess with a 60 s bound, so
+    # that a missing cap fails the test rather than scanning for minutes.
+    assert sr.large_e_call_count(100003, 50001) == 6
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    out = subprocess.run(
+        [sys.executable, "-c", LARGE_E_CAP_SCRIPT],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert out.stdout == "6\n", out.stderr
 
 
 def test_narrowing_skips_probes_every_candidate_agrees_on(monkeypatch):
