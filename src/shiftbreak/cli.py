@@ -69,11 +69,11 @@ def _check_cell(cell, keys, who):
             raise ConfigError(f"{who} needs {key} >= 1, not {cell[key]}")
 
 
-def _run_one_recovery(ctx, params, s, algorithm, seed, policy):
+def _run_one_recovery(ctx, params, s, algorithm, seed):
     p, e = ctx.p, params.e
     oracle = new_oracle(ctx, params, s)
-    trace = sr.RecoveryTrace()
-    recovered = sr.recover(oracle, algorithm, policy, seed, trace)
+    trace = []
+    recovered = sr.recover(oracle, algorithm, seed=seed, trace=trace)
     if recovered != s:
         raise AlgorithmFailure(
             f"recovered {recovered} != planted {s} (p={p}, e={e}, {algorithm})"
@@ -85,7 +85,7 @@ def _run_one_recovery(ctx, params, s, algorithm, seed, policy):
         "s": s,
         "recovered": recovered,
         "oracle_calls": oracle.calls,
-        "phase_breakdown": [list(r) for r in trace.rounds],
+        "phase_breakdown": [list(r) for r in trace],
     }
 
 
@@ -95,7 +95,6 @@ def run_recover(args) -> list[dict]:
         raise ConfigError("recover requires --p and --e")
     if args.trials < 1:
         raise ConfigError("recover requires trials >= 1")
-    policy = sr.ProbePolicy(window_cap=args.window_cap)
     ctx = fc.make_context(p)
     params = fc.make_params(ctx, e)
     rng = random.Random(args.seed)
@@ -103,9 +102,7 @@ def run_recover(args) -> list[dict]:
     for trial in range(args.trials):
         started = time.perf_counter()
         s = args.s if args.s is not None else rng.randrange(p)
-        row = _run_one_recovery(
-            ctx, params, s, args.algorithm, args.seed + trial, policy
-        )
+        row = _run_one_recovery(ctx, params, s, args.algorithm, args.seed + trial)
         row["trial"] = trial
         if args.timing:
             row["wall_time"] = round(time.perf_counter() - started, 6)
@@ -252,7 +249,6 @@ def run_bench(args) -> list[dict]:
     cells = _cells(args, ("p", "e"))
     if args.trials < 1:
         raise ConfigError("bench requires trials >= 1")
-    policy = sr.ProbePolicy(window_cap=args.window_cap)
     if not args.algorithms:
         raise ConfigError("bench requires at least one name after --algorithms")
     for algorithm in args.algorithms:
@@ -270,9 +266,7 @@ def run_bench(args) -> list[dict]:
             started = time.perf_counter()
             for trial in range(args.trials):
                 s = rng.randrange(p)
-                row = _run_one_recovery(
-                    ctx, params, s, algorithm, args.seed + trial, policy
-                )
+                row = _run_one_recovery(ctx, params, s, algorithm, args.seed + trial)
                 calls.append(row["oracle_calls"])
             out = {
                 "p": p,
@@ -341,8 +335,7 @@ FLAGS = {
 SUBCOMMANDS = {
     "recover": (
         run_recover,
-        ("p", "e", "s", "algorithm", "window-cap", "seed", "trials", "timing",
-         "output"),
+        ("p", "e", "s", "algorithm", "seed", "trials", "timing", "output"),
     ),
     "identity": (
         run_identity,
@@ -351,8 +344,7 @@ SUBCOMMANDS = {
     "lab": (run_lab, ("lemma", "grid", "p", "e", "output")),
     "bench": (
         run_bench,
-        ("grid", "p", "e", "algorithms", "trials", "seed", "window-cap",
-         "timing", "output"),
+        ("grid", "p", "e", "algorithms", "trials", "seed", "timing", "output"),
     ),
 }
 

@@ -11,7 +11,12 @@ Strategies, all honest oracle clients:
 candidate set is a sorted tuple of shifts.  Every probe loop queries the
 inputs it picks: an oracle's forbidden inputs serve identity testing with a
 known t, and recovery with an oracle that forbids a probe it needs raises the
-oracle's ForbiddenInput.
+oracle's ForbiddenInput.  No call is made at a point where every candidate
+left predicts the same answer, so no recovery queries a point twice.
+
+A trace is a plain list; each round appends (stat, probe, size before, size
+after) for narrowing, ("random", x, None, size after) per randomized draw,
+and ("scan", m, p, size after) for the large-e scan.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ import collections
 import functools
 import math
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from .errors import ConfigError, Stalled, TooLarge
 from .field_core import EXHAUSTIVE_CAP, LOOP_CAP, ExponentParams, PrimeContext
@@ -39,24 +44,8 @@ STALL_FACTOR = 2  # a probe window that certifies no shrinkage grows by this
 
 @dataclass(frozen=True)
 class ProbePolicy:
-    window_cap: int | None = None  # default p-1 at use sites
     max_rounds: int = 64
     initial_window: int = 4
-
-    def __post_init__(self):
-        if self.window_cap is not None and self.window_cap < 1:
-            raise ConfigError("window cap must be at least 1")
-
-
-@dataclass
-class RecoveryTrace:
-    """Per-round bookkeeping for reports."""
-
-    rounds: list = field(default_factory=list)  # (stat, probe_x, size_before, size_after)
-
-
-def _cap(policy: ProbePolicy, p: int) -> int:
-    return p - 1 if policy.window_cap is None else min(policy.window_cap, p - 1)
 
 
 def interpolation_recover(oracle: ShiftOracle) -> int:
@@ -169,7 +158,7 @@ def narrow_candidates(
     S: tuple[int, ...],
     policy: ProbePolicy,
     stat: str,
-    trace: RecoveryTrace | None = None,
+    trace: list | None = None,
     agreed: set[int] | None = None,
 ) -> tuple[int, ...]:
     """One narrowing round: scan a probe window, query, filter.
@@ -183,12 +172,12 @@ def narrow_candidates(
     `agreed` holds points at which every member of S is known to predict the
     same answer.  A probe whose points (x for R, x and zeta*x for r) all lie
     there has the certify value as its statistic and can never be chosen,
-    so it is skipped without computing a power; the points this round
-    queries are added to `agreed`.
+    so it is skipped without computing a power.  The chosen probe's points
+    go through `_answer` and into `agreed`: the kept candidates agree there.
     """
     ctx, params = oracle.ctx, oracle.params
     p, e = ctx.p, params.e
-    cap = _cap(policy, p)
+    cap = p - 1
     size = len(S)
     h = min(max(policy.initial_window, 1), cap)
     stat_fn = _stat_r if stat == "r" else _stat_R
@@ -218,14 +207,26 @@ def narrow_candidates(
             raise Stalled(f"window cap {cap} reached without shrinkage")
         h = min(h * STALL_FACTOR, cap)
     queried = (best_x,) if stat == "R" else (best_x, zeta * best_x % p)
-    want = oracle.query(best_x)
-    if stat == "r":
-        want = want * p + oracle.query(queried[1])
+    keys = best_keys
+    if stat == "R":
+        want = _answer(oracle, best_x, min(keys), max(keys))
+    else:  # a key packs (answer at x) * p + (answer at zeta*x)
+        lo = _answer(oracle, best_x, min(keys) // p, max(keys) // p) * p
+        # the keys of x's survivors, [lo] (no call) if S had lost the shift
+        rest = [key for key in keys if lo <= key < lo + p] or [lo]
+        want = lo + _answer(oracle, queried[1], min(rest) - lo, max(rest) - lo)
+    kept = tuple(t for t, key in zip(S, keys) if key == want)
     agreed.update(queried)
-    kept = tuple(t for t, key in zip(S, best_keys) if key == want)
     if trace is not None:
-        trace.rounds.append((stat, best_x, size, len(kept)))
+        trace.append((stat, best_x, size, len(kept)))
     return kept
+
+
+def _answer(oracle: ShiftOracle, x: int, least: int, greatest: int) -> int:
+    """The oracle's answer at x, where the candidates left predict answers
+    from `least` to `greatest`.  The shift is a candidate, so when the two
+    are equal that is the answer, and no call is made."""
+    return least if least == greatest else oracle.query(x)
 
 
 def _resolve_small(oracle: ShiftOracle, S) -> int:
@@ -245,7 +246,7 @@ def recover_from_candidates(
     oracle: ShiftOracle,
     S0: tuple[int, ...],
     policy: ProbePolicy = ProbePolicy(),
-    trace: RecoveryTrace | None = None,
+    trace: list | None = None,
     agreed=(),
 ) -> int:
     """Iterated narrowing, r-statistic while the set is large, then R, then
@@ -284,7 +285,7 @@ def _zero_call_seed(oracle: ShiftOracle) -> tuple[int, ...]:
 def recover_zero_call_narrow(
     oracle: ShiftOracle,
     policy: ProbePolicy = ProbePolicy(),
-    trace: RecoveryTrace | None = None,
+    trace: list | None = None,
 ) -> int:
     S0 = _zero_call_seed(oracle)
     return recover_from_candidates(oracle, S0, policy, trace, (0,))
@@ -293,7 +294,7 @@ def recover_zero_call_narrow(
 def recover_smooth_narrow(
     oracle: ShiftOracle,
     policy: ProbePolicy = ProbePolicy(),
-    trace: RecoveryTrace | None = None,
+    trace: list | None = None,
 ) -> int:
     S0, wits = initial_candidates_smooth(oracle)
     return recover_from_candidates(oracle, S0, policy, trace, range(wits.n + 1))
@@ -308,13 +309,15 @@ def recover_randomized(
     oracle: ShiftOracle,
     S0: tuple[int, ...],
     seed: int,
-    trace: RecoveryTrace | None = None,
+    trace: list | None = None,
 ) -> int:
     """Up to nu seeded uniform probes, filter, then x = -t resolution.
 
     Probing stops early once a single candidate remains; the nu budget is an
-    upper bound on information-bearing probes.  At d = 1 a probe rules out
-    at most one candidate, so the x = -t resolution runs directly.
+    upper bound on information-bearing probes.  A draw at which every
+    candidate predicts one answer counts toward nu but makes no call.  At
+    d = 1 a probe rules out at most one candidate, so the x = -t resolution
+    runs directly.
     """
     ctx, params = oracle.ctx, oracle.params
     if params.d == 1:
@@ -327,10 +330,11 @@ def recover_randomized(
         if len(S) <= 1:
             break
         x = rng.randrange(p)
-        a = oracle.query(x)
-        S = {t for t in S if pow(t + x, e, p) == a}
+        keys = [pow(t + x, e, p) for t in S]
+        a = _answer(oracle, x, min(keys), max(keys))
+        S = {t for t, key in zip(S, keys) if key == a}
         if trace is not None:
-            trace.rounds.append(("random", x, None, len(S)))
+            trace.append(("random", x, None, len(S)))
     return _resolve_small(oracle, S)
 
 
@@ -340,7 +344,7 @@ def large_e_call_count(p: int, e: int) -> int:
 
 
 def _scan_candidates(
-    oracle: ShiftOracle, trace: RecoveryTrace | None = None
+    oracle: ShiftOracle, trace: list | None = None
 ) -> tuple[int, ...]:
     """m consecutive queries at x = 1..m, then the x with (x + j)^e = A_j for
     every j; a zero answer at x = j leaves the one candidate -j.
@@ -360,14 +364,14 @@ def _scan_candidates(
         answers.append(a)
     members = tuple(y - 1 for y in consecutive_roots(ctx, params, answers))
     if trace is not None:
-        trace.rounds.append(("scan", m, p, len(members)))
+        trace.append(("scan", m, p, len(members)))
     return members
 
 
 def recover_large_e(
     oracle: ShiftOracle,
     policy: ProbePolicy = ProbePolicy(),
-    trace: RecoveryTrace | None = None,
+    trace: list | None = None,
 ) -> int:
     """Delegates to the small-e pipeline below e = p^0.9; otherwise runs the
     consecutive-query scan phase, then narrows with a wide window."""
@@ -377,8 +381,7 @@ def recover_large_e(
         return recover_zero_call_narrow(oracle, policy, trace)
     S = _scan_candidates(oracle, trace)
     h = int((p / e) * math.sqrt(p) * math.log(p) ** 2)
-    window = max(1, min(h, _cap(policy, p)))
-    wide = replace(policy, initial_window=window)
+    wide = replace(policy, initial_window=h)
     m = large_e_call_count(p, e)
     return recover_from_candidates(oracle, S, wide, trace, range(1, m + 1))
 
@@ -402,7 +405,7 @@ def recover(
     algorithm: str,
     policy: ProbePolicy = ProbePolicy(),
     seed: int = 0,
-    trace: RecoveryTrace | None = None,
+    trace: list | None = None,
 ) -> int:
     """Recover the shift with the algorithm named `algorithm`, a key of
     ALGORITHMS; `seed` is read by `randomized` only, and `interpolation`

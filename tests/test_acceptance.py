@@ -52,12 +52,25 @@ def test_01_root_sets_match_brute_force():
 DETERMINISTIC = ("interpolation", "zero_call_narrow", "smooth_narrow", "large_e")
 
 
+def calls_lower_bound(p, d):
+    """min{k : N_k >= p}, N_0 = 1, N_k = d*N_(k-1) + 1: an answer lies in
+    {0} and the d-th roots of unity, and 0 singles out one shift, so k calls
+    tell at most N_k shifts apart."""
+    k, n = 0, 1
+    while n < p:
+        k, n = k + 1, d * n + 1
+    return k
+
+
 def test_02_recovery_sound_for_every_shift():
     # every deterministic algorithm also stays within interpolation's e + 1
-    # oracle calls; randomized is bounded in the mean (criterion 04)
+    # oracle calls; randomized is bounded in the mean (criterion 04).  No
+    # worst case over s beats the counting bound, so no answer is read
+    # around the oracle.
     with criterion(
         "02 recovery returns the planted shift (p < 300, all e, all s, "
-        "5 algorithms), in at most e + 1 calls but for randomized"
+        "5 algorithms), in at most e + 1 calls but for randomized, and in "
+        "no fewer than the counting bound in the worst case"
     ):
         for p in primes_below(300):
             ctx = fc.make_context(p)
@@ -65,15 +78,20 @@ def test_02_recovery_sound_for_every_shift():
             for e in divisors(p - 1):
                 params = fc.make_params(ctx, e)
                 wits = full_witness_set(ctx, params)
+                worst = dict.fromkeys(DETERMINISTIC + (1, 2, 3), 0)
                 for s in range(p):
                     for algorithm in DETERMINISTIC:
                         o = new_oracle(ctx, params, s)
                         assert sr.recover(o, algorithm, policy) == s, (algorithm, p, e, s)
                         assert o.calls <= e + 1, (algorithm, p, e, s, o.calls)
+                        worst[algorithm] = max(worst[algorithm], o.calls)
                     for seed in (1, 2, 3):
                         o = new_oracle(ctx, params, s)
                         S0 = sr.initial_candidates_zero_call(o, wits)
                         assert sr.recover_randomized(o, S0, seed) == s, (p, e, s, seed)
+                        worst[seed] = max(worst[seed], o.calls)
+                bound = calls_lower_bound(p, params.d)
+                assert min(worst.values()) >= bound, (p, e, bound, worst)
 
 
 def test_03_narrowing_call_budget_on_grid():

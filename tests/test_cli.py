@@ -250,7 +250,7 @@ def test_flag_left_out_equals_its_default(argv, defaults):
          {"mode": None, "epsilon": None, "seed": None}),
         (["recover", "--p", "211", "--e", "30"],
          {"algorithm": None, "trials": None, "output": None, "timing": None,
-          "seed": None, "window_cap": None}),
+          "seed": None}),
         (["bench", "--p", "211", "--e", "30"], {"algorithms": None, "trials": None}),
     ],
 )
@@ -346,6 +346,7 @@ def test_explicit_flag_at_its_default_beats_config(tmp_path):
         {"p": 13, "e": 3, "lemma": "psi"},  # a flag of another subcommand
         {"p": 13, "e": 3, "command": "lab"},
         [13, 3],
+        {"p": 13, "e": 3, "window_cap": 4},  # identity's, not recover's
     ],
 )
 def test_bad_config_is_config_error(tmp_path, config):
@@ -362,6 +363,9 @@ def test_bad_config_is_config_error(tmp_path, config):
         ["lab", "--lemma", "coset_run", "--p", "13", "--e", "3", "--algorithm", "x"],
         # not an abbreviation of bench's own --algorithms
         ["bench", "--p", "13", "--e", "3", "--algorithm", "interpolation"],
+        # recovery takes no window cap; identity's --window-cap sets its h cap
+        ["recover", "--p", "383", "--e", "191", "--s", "7", "--window-cap", "0"],
+        ["bench", "--p", "13", "--e", "3", "--window-cap", "0"],
     ],
 )
 def test_flag_of_another_subcommand_exits_2(argv):
@@ -459,9 +463,9 @@ def test_usage_error_and_help_leave_the_parser_unchanged():
         (["lab", "--lemma", "hyperbola"], [{"p": 13, "u": 0, "v": 5, "H": 0}]),
         # no trial would reach the algorithm, so its name is never checked
         (["recover", "--p", "13", "--e", "3", "--trials", "0", "--algorithm", "nope"], None),
-        (["recover", "--p", "383", "--e", "191", "--s", "7", "--window-cap", "0"], None),
+        (["identity", "--p", "13", "--e", "3", "--s", "1", "--window-cap", "0"], None),
         (["identity", "--p", "13", "--e", "3", "--s", "1", "--window-cap", "-5"], None),
-        (["bench", "--p", "13", "--e", "3", "--window-cap", "0"], None),
+        (["identity", "--p", "13", "--e", "3", "--mode", "theoretical", "--epsilon", "0"], None),
         (["lab", "--lemma", "product_J"], [{"p": 13, "nu": -2, "lam": 1, "s": 0, "h": 3}]),
         (["lab", "--lemma", "product_J"], [{"p": 13, "nu": 2, "lam": 1, "s": 0, "h": 0}]),
         (["lab", "--lemma", "product_set"], [{"p": 13, "nu": 2, "s": 1, "h": -5}]),
