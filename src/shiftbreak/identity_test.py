@@ -70,7 +70,8 @@ def exact_unknown_window(p: int, e: int) -> int:
 def choose_h(
     ctx: PrimeContext, params: ExponentParams, variant: str, policy: HPolicy
 ) -> int:
-    """Probe budget for the chosen variant and mode."""
+    """Probe budget for the chosen variant and mode; TooLarge where it
+    passes LOOP_CAP after the window cap, before any query."""
     p, e = ctx.p, params.e
     if e > (p - 1) // 2:
         raise RangeViolation(f"e={e} exceeds (p-1)/2")
@@ -90,7 +91,10 @@ def choose_h(
                     math.sqrt(p) * math.log(p) ** 2,
                 )
             )
-    return max(1, min(h, _cap(policy, p)))
+    h = max(1, min(h, _cap(policy, p)))
+    if h > LOOP_CAP:
+        raise TooLarge(f"window h={h} above loop cap")
+    return h
 
 
 def test_known_t(

@@ -14,7 +14,10 @@ known t, and recovery with an oracle that forbids a probe it needs raises the
 oracle's ForbiddenInput.  No call is made at a point where every candidate
 left predicts the same answer, so no recovery queries a point twice.
 
-A trace is a plain list; each round appends (stat, probe, size before, size
+Narrowing picks each probe by one statistic, r: the size of the largest
+class of candidates that predict the same answer pair at x and zeta*x.
+
+A trace is a plain list; each round appends ("r", probe, size before, size
 after) for narrowing, ("random", x, None, size after) per randomized draw,
 and ("scan", m, p, size after) for the large-e scan.
 """
@@ -117,21 +120,14 @@ def _zeta(ctx: PrimeContext) -> int:
     return pow(math.isqrt(ctx.p), -1, ctx.p)
 
 
-def _probe_keys(p: int, e: int, S, x: int, zx: int | None) -> list[int]:
-    """The answers each t in S predicts at the probe: (t+x)^e, or the pair
-    ((t+x)^e, (t+zx)^e) packed into one integer when zx is given."""
-    if zx is None:
-        return [pow(t + x, e, p) for t in S]
+def _probe_keys(p: int, e: int, S, x: int, zx: int) -> list[int]:
+    """The answer pair ((t+x)^e, (t+zx)^e) each t in S predicts at the
+    probe, packed into one integer: (answer at x) * p + (answer at zx)."""
     return [pow(t + x, e, p) * p + pow(t + zx, e, p) for t in S]
 
 
 def _stat_r(keys) -> int:
     return max(collections.Counter(keys).values()) if keys else 0
-
-
-def _stat_R(keys) -> int:
-    counts = collections.Counter(keys)
-    return sum(c * (c - 1) for v, c in counts.items() if v != 0)
 
 
 def collision_stat_r(
@@ -149,76 +145,75 @@ def collision_stat_R(
 
     Equivalent to sum of c*(c-1) over fibers of t -> (x+t)^e, excluding the
     zero fiber (pairs with x+s2 = 0 are excluded, and x+s1 = 0 gives ratio 0).
+    Narrowing picks its probes by collision_stat_r alone; this statistic is
+    kept as a reference.
     """
-    return _stat_R(_probe_keys(ctx.p, params.e, S, x, None))
+    p, e = ctx.p, params.e
+    counts = collections.Counter(pow(t + x, e, p) for t in S)
+    return sum(c * (c - 1) for v, c in counts.items() if v != 0)
 
 
 def narrow_candidates(
     oracle: ShiftOracle,
     S: tuple[int, ...],
     policy: ProbePolicy,
-    stat: str,
     trace: list | None = None,
     agreed: set[int] | None = None,
 ) -> tuple[int, ...]:
     """One narrowing round: scan a probe window, query, filter.
 
-    The probe is the smallest x minimizing the statistic; the window doubles
-    while no probe certifies strict shrinkage.  The chosen probe's predicted
-    answers are kept from the scan and filter the set, so no power is
-    computed twice.  A window segment costs |S| pow calls per probe (2|S|
-    for r); TooLarge before a segment whose cost passes LOOP_CAP.
+    The probe is the smallest x minimizing the r-statistic, the size of the
+    largest class of predicted answer pairs at x and zeta*x; the window
+    doubles while no probe certifies strict shrinkage (r < |S|).  The chosen
+    probe's predicted pairs are kept from the scan and filter the set, so no
+    power is computed twice.  A window segment costs 2|S| pow calls per
+    probe; TooLarge before a segment whose cost passes LOOP_CAP.
 
     `agreed` holds points at which every member of S is known to predict the
-    same answer.  A probe whose points (x for R, x and zeta*x for r) all lie
-    there has the certify value as its statistic and can never be chosen,
-    so it is skipped without computing a power.  The chosen probe's points
-    go through `_answer` and into `agreed`: the kept candidates agree there.
+    same answer.  A probe with x and zeta*x both there has r = |S| and can
+    never be chosen, so it is skipped without computing a power.  Both of
+    the chosen probe's points go through `_answer` and into `agreed`: the
+    kept candidates agree there.
     """
     ctx, params = oracle.ctx, oracle.params
     p, e = ctx.p, params.e
     cap = p - 1
     size = len(S)
     h = min(max(policy.initial_window, 1), cap)
-    stat_fn = _stat_r if stat == "r" else _stat_R
-    certify = size if stat == "r" else size * (size - 1)
     zeta = _zeta(ctx)
     if agreed is None:
         agreed = set()
     scanned = 0
     while True:
-        if (h - scanned) * size * (2 if stat == "r" else 1) > LOOP_CAP:
+        if (h - scanned) * 2 * size > LOOP_CAP:
             raise TooLarge(f"{h - scanned} probes on {size} candidates above loop cap")
         best_val, best_x, best_keys = None, None, None
         for x in range(scanned, h):
-            zx = zeta * x % p if stat == "r" else None
-            if x in agreed and (zx is None or zx in agreed):
+            zx = zeta * x % p
+            if x in agreed and zx in agreed:
                 continue
             keys = _probe_keys(p, e, S, x, zx)
-            v = stat_fn(keys)
+            v = _stat_r(keys)
             if best_val is None or v < best_val:
                 best_val, best_x, best_keys = v, x, keys
-                if v == 0 or (stat == "r" and v == 1):
+                if v <= 1:
                     break
-        if best_val is not None and best_val < certify:
+        if best_val is not None and best_val < size:
             break
         scanned = h
         if h >= cap:
             raise Stalled(f"window cap {cap} reached without shrinkage")
         h = min(h * STALL_FACTOR, cap)
-    queried = (best_x,) if stat == "R" else (best_x, zeta * best_x % p)
+    zx = zeta * best_x % p
     keys = best_keys
-    if stat == "R":
-        want = _answer(oracle, best_x, min(keys), max(keys))
-    else:  # a key packs (answer at x) * p + (answer at zeta*x)
-        lo = _answer(oracle, best_x, min(keys) // p, max(keys) // p) * p
-        # the keys of x's survivors, [lo] (no call) if S had lost the shift
-        rest = [key for key in keys if lo <= key < lo + p] or [lo]
-        want = lo + _answer(oracle, queried[1], min(rest) - lo, max(rest) - lo)
+    lo = _answer(oracle, best_x, min(keys) // p, max(keys) // p) * p
+    # the keys of x's survivors, [lo] (no call) if S had lost the shift
+    rest = [key for key in keys if lo <= key < lo + p] or [lo]
+    want = lo + _answer(oracle, zx, min(rest) - lo, max(rest) - lo)
     kept = tuple(t for t, key in zip(S, keys) if key == want)
-    agreed.update(queried)
+    agreed.update((best_x, zx))
     if trace is not None:
-        trace.append((stat, best_x, size, len(kept)))
+        trace.append(("r", best_x, size, len(kept)))
     return kept
 
 
@@ -249,8 +244,8 @@ def recover_from_candidates(
     trace: list | None = None,
     agreed=(),
 ) -> int:
-    """Iterated narrowing, r-statistic while the set is large, then R, then
-    final resolution through x = -t queries.
+    """Iterated narrowing rounds until at most FINAL_SET_THRESHOLD
+    candidates are left, then final resolution through x = -t queries.
 
     `agreed` lists the points S0 was built from (every member predicts the
     oracle's answer there); with the points each round queries, they are
@@ -262,16 +257,13 @@ def recover_from_candidates(
     """
     if oracle.params.d == 1:
         return _resolve_small(oracle, S0)
-    p = oracle.ctx.p
     S = S0
     agreed = set(agreed)
     rounds = 0
-    threshold = p**0.05
     while len(S) > FINAL_SET_THRESHOLD:
         if rounds >= policy.max_rounds:
             raise Stalled(f"no resolution within {policy.max_rounds} rounds")
-        stat = "r" if len(S) > threshold else "R"
-        S = narrow_candidates(oracle, S, policy, stat, trace, agreed)
+        S = narrow_candidates(oracle, S, policy, trace, agreed)
         rounds += 1
     return _resolve_small(oracle, S)
 

@@ -585,14 +585,15 @@ def _limit_address_space_to_1_gib():
     resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
 
 
-def _run_cli_under_1_gib(argv):
-    """`shiftbreak argv` in a subprocess with 1 GiB of address space and a
-    60 s bound, so that a missing cap fails the test, not the machine."""
+def _run_cli_under_1_gib(argv, python_args=("-m", "shiftbreak.cli")):
+    """`shiftbreak argv` (or `python python_args argv`) in a subprocess with
+    1 GiB of address space and a 60 s bound, so that a missing cap fails
+    the test, not the machine."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
     return subprocess.run(
-        [sys.executable, "-m", "shiftbreak.cli", *argv],
+        [sys.executable, *python_args, *argv],
         capture_output=True,
         text=True,
         env=env,
@@ -601,13 +602,79 @@ def _run_cli_under_1_gib(argv):
     )
 
 
-@pytest.mark.parametrize("algorithm", sr.ALGORITHMS)
-def test_e_above_the_cap_exits_4_under_1_gib(algorithm):
+M61 = str(2**61 - 1)
+ABOVE_THE_CAP = [
     # e = (p-1)/2 is a 39-bit prime: each algorithm stops with a typed
     # resource cap, not a MemoryError (exit 1) or e + 1 queries
-    out = _run_cli_under_1_gib(
-        ["recover", "--p", "1099511628443", "--e", "549755814221", "--algorithm", algorithm]
+    pytest.param(
+        ["recover", "--p", "1099511628443", "--e", "549755814221", "--algorithm", a],
+        id=a,
     )
+    for a in sr.ALGORITHMS
+] + [
+    # theoretical identity windows of about 5.7e15 and 2.7e12 probes, on an
+    # equal pair (the seed's first draw makes t = s), pass LOOP_CAP
+    pytest.param(
+        ["identity", "--p", M61, "--e", "1001", "--s", "5", "--t", "5",
+         "--mode", "theoretical", "--epsilon", "5"],
+        id="identity_known_t_epsilon_5",
+    ),
+    pytest.param(
+        ["identity", "--p", M61, "--e", str((2**61 - 2) // 2), "--mode",
+         "theoretical", "--seed", "0", "--s", "888315200261588941"],
+        id="identity_unknown_t_half_group",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv", ABOVE_THE_CAP)
+def test_e_above_the_cap_exits_4_under_1_gib(argv):
+    out = _run_cli_under_1_gib(argv)
     assert out.returncode == 4, out.stderr
     assert out.stdout == ""
     assert out.stderr.startswith("resource cap:"), out.stderr
+
+
+# Runs every subcommand on one (p, e) cell through `cli.main`, and prints
+# one JSON line [argv, exit code, stderr] per command line.
+SWEEP_SCRIPT = r"""
+import contextlib, io, json, sys
+from shiftbreak import cli
+from shiftbreak import shift_recovery as sr
+cell = ["--p", sys.argv[1], "--e", sys.argv[2]]
+commands = [["recover", *cell, "--s", "1", "--algorithm", a] for a in sr.ALGORITHMS]
+for mode in ("exact", "theoretical"):
+    commands += [["identity", *cell, "--mode", mode]]
+    commands += [["identity", *cell, "--mode", mode, "--t", "2"]]
+commands += [["bench", *cell, "--trials", "1"], ["lab", "--lemma", "coset_run", *cell]]
+for argv in commands:
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    print(json.dumps([argv, code, err.getvalue()]), flush=True)
+"""
+
+SAFE_PRIMES = (1099511627339, 140737488356903, 1152921504606843299)
+RHO_PRIME = 1126844094631811327
+SWEEP_CELLS = (
+    [(3, 1), (3, 2)]
+    + [(p, e) for p in SAFE_PRIMES for e in (2, (p - 1) // 2)]
+    + [(2**61 - 1, (2**61 - 2) // 2), (RHO_PRIME, 2), (RHO_PRIME, 527608327)]
+    + [(100003, 50001), (10000019, 5000009)]
+)
+
+
+def test_every_subcommand_exits_typed_on_adversarial_cells():
+    # recover (every algorithm), identity (both modes, unknown and known t),
+    # bench and lab on cells at the edges of the domain: each command
+    # returns, or stops with a typed error and its label, within the bounds
+    labels = {2: ("error: ", "config error: "), 4: ("resource cap: ",)}
+    for p, e in SWEEP_CELLS:
+        out = _run_cli_under_1_gib([str(p), str(e)], ("-c", SWEEP_SCRIPT))
+        assert out.returncode == 0, (p, e, out.stderr)
+        lines = out.stdout.splitlines()
+        assert len(lines) == 11, (p, e, out.stdout)
+        for line in lines:
+            argv, code, err = json.loads(line)
+            assert code in (0, 2, 4), (argv, code, err)
+            assert code == 0 or err.startswith(labels[code]), (argv, code, err)

@@ -50,6 +50,20 @@ def test_choose_h_never_exceeds_cap():
                     assert 1 <= h <= p - 1
 
 
+def test_choose_h_above_the_loop_cap_is_too_large():
+    # theoretical known t at epsilon = 5: h = ceil(1001^5.25) ~ 5.7e15, far
+    # under the default window cap p - 1 but above LOOP_CAP
+    ctx = fc.make_context(2**61 - 1)
+    params = fc.make_params(ctx, 1001)
+    policy = it.HPolicy(mode="theoretical", epsilon=5)
+    with pytest.raises(TooLarge):
+        it.choose_h(ctx, params, "known_t", policy)
+    capped = it.HPolicy(mode="theoretical", epsilon=5, cap=fc.LOOP_CAP)
+    assert it.choose_h(ctx, params, "known_t", capped) == fc.LOOP_CAP
+    policy = it.HPolicy(mode="theoretical", epsilon=1)
+    assert it.choose_h(ctx, params, "known_t", policy) == 5631
+
+
 def test_choose_h_range_violation():
     ctx = fc.make_context(13)
     params = fc.make_params(ctx, 12)

@@ -157,44 +157,45 @@ def test_collision_stat_R_brute_force():
 
 
 def test_narrow_candidates_pinned_cases():
+    # all of (2, 5, 6) agree at x = 0; x = 1 splits them, and the answer
+    # there leaves one candidate
     o = make(13, 3, 5)
-    T = sr.narrow_candidates(o, (2, 5, 6), sr.ProbePolicy(), "R")
+    trace = []
+    T = sr.narrow_candidates(o, (2, 5, 6), sr.ProbePolicy(), trace)
     assert T == (5,)
     assert o.calls == 1
+    assert trace == [("r", 1, 3, 1)]
 
     # the answer at x leaves one candidate, so zeta*x is not queried
     o = make(13, 3, 5)
-    T = sr.narrow_candidates(o, (4, 5), sr.ProbePolicy(), "r")
+    T = sr.narrow_candidates(o, (4, 5), sr.ProbePolicy())
     assert T == (5,)
     assert o.calls == 1
 
 
-def stat_reference_narrow(o, S, policy, stat):
-    """One narrowing round through the public statistics: pick the probe by
-    collision_stat_r or collision_stat_R, then filter by recomputed powers,
-    querying a point only where the candidates left disagree.  Returns
-    (probe, kept)."""
+def stat_reference_narrow(o, S, policy):
+    """One narrowing round through the public statistic: pick the probe by
+    collision_stat_r, then filter by recomputed powers, querying a point
+    only where the candidates left disagree.  Returns (probe, kept)."""
     p, e = o.ctx.p, o.params.e
     zeta = sr._zeta(o.ctx)
-    stat_fn = sr.collision_stat_r if stat == "r" else sr.collision_stat_R
-    certify = len(S) if stat == "r" else len(S) * (len(S) - 1)
     scanned, h = 0, min(max(policy.initial_window, 1), p - 1)
     while True:
         best = None
         for x in range(scanned, h):
-            v = stat_fn(o.ctx, o.params, S, x)
+            v = sr.collision_stat_r(o.ctx, o.params, S, x)
             if best is None or v < best[0]:
                 best = (v, x)
-                if v == 0 or (stat == "r" and v == 1):
+                if v <= 1:
                     break
-        if best is not None and best[0] < certify:
+        if best is not None and best[0] < len(S):
             break
         if h >= p - 1:
             raise Stalled("window cap reached")
         scanned, h = h, min(h * sr.STALL_FACTOR, p - 1)
     x = best[1]
     kept = list(S)
-    for point in (x, zeta * x % p) if stat == "r" else (x,):
+    for point in (x, zeta * x % p):
         if len({pow(t + point, e, p) for t in kept}) > 1:
             a = o.query(point)
             kept = [t for t in kept if pow(t + point, e, p) == a]
@@ -215,16 +216,29 @@ def test_narrowing_matches_the_statistic_reference():
                 o = new_oracle(ctx, params, s)
                 S = sr.initial_candidates_zero_call(o, full_witness_set(ctx, params))
                 while len(S) > 1:
-                    for stat in ("r", "R"):
-                        o, ref = (new_oracle(ctx, params, s) for _ in "ab")
-                        trace = []
-                        got = sr.narrow_candidates(o, S, sr.ProbePolicy(), stat, trace)
-                        want = stat_reference_narrow(ref, S, sr.ProbePolicy(), stat)
-                        assert (trace[0][1], got) == want
-                        assert o.calls == ref.calls
-                        rounds += 1
+                    o, ref = (new_oracle(ctx, params, s) for _ in "ab")
+                    trace = []
+                    got = sr.narrow_candidates(o, S, sr.ProbePolicy(), trace)
+                    want = stat_reference_narrow(ref, S, sr.ProbePolicy())
+                    assert (trace[0][1], got) == want
+                    assert o.calls == ref.calls
+                    rounds += 1
                     S = got
-    assert rounds > 200
+    assert rounds > 100
+
+
+@pytest.mark.parametrize("e", (5, 6, 7))
+def test_r_statistic_narrows_the_small_sets_at_2_61(e):
+    # 4 < |S0| = e <= p^0.05: at d = (p-1)/e > 3e17 the first r probe
+    # splits every S0 into singletons, so recovery makes 2 calls
+    p = 2**61 - 1
+    rng = random.Random(e)
+    for s in (rng.randrange(p) for _ in range(20)):
+        o = make(p, e, s)
+        trace = []
+        assert sr.recover(o, "zero_call_narrow", trace=trace) == s
+        assert o.calls == 2
+        assert [r[0] for r in trace] == ["r"]
 
 
 def test_recover_from_candidates_example():
@@ -251,8 +265,7 @@ def test_monotone_shrinkage_with_secret_retained():
                 S = sr.initial_candidates_zero_call(o, wits)
                 assert s in S
                 while len(S) > 1:
-                    stat = "r" if len(S) > p**0.05 else "R"
-                    T = sr.narrow_candidates(o, S, sr.ProbePolicy(), stat)
+                    T = sr.narrow_candidates(o, S, sr.ProbePolicy())
                     assert len(T) < len(S)
                     assert unsafe_reveal_secret(o) in T
                     S = T
@@ -557,8 +570,7 @@ def test_narrowing_skips_probes_every_candidate_agrees_on(monkeypatch):
                         if kind == "query":
                             queried.add(x)
                             continue
-                        points = {x} if zx[0] is None else {x, zx[0]}
-                        assert not points <= queried, (algorithm, p, e, s, x, zx)
+                        assert not {x, zx[0]} <= queried, (algorithm, p, e, s, x, zx)
                         probes += 1
     assert probes > 1000
 
