@@ -137,12 +137,20 @@ class PrimeContext:
     g: int  # least primitive root
     group_order_factors: tuple[tuple[int, int], ...]  # factorization of p-1
 
+    def __hash__(self) -> int:
+        # p determines every other field, so cache keys skip the factor tuple
+        return hash(self.p)
+
 
 @dataclass(frozen=True)
 class ExponentParams:
     e: int
     d: int  # (p-1)/e
     e_factors: tuple[tuple[int, int], ...]
+
+    def __hash__(self) -> int:
+        # (e, d) fixes p = e*d + 1, so equal hashes share p as well as e
+        return hash((self.e, self.d))
 
 
 def make_context(p: int) -> PrimeContext:

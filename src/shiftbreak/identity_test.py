@@ -32,8 +32,8 @@ class HPolicy:
     cap: int | None = None  # default p-1 at use sites
 
     def __post_init__(self):
-        if self.epsilon <= 0:
-            raise ConfigError("epsilon must be positive")
+        if not (math.isfinite(self.epsilon) and self.epsilon > 0):
+            raise ConfigError("epsilon must be finite and positive")
         if self.mode not in ("exact", "theoretical"):
             raise ConfigError(f"unknown mode {self.mode!r}")
         if self.cap is not None and self.cap < 1:
@@ -67,14 +67,33 @@ def exact_unknown_window(p: int, e: int) -> int:
     return worst
 
 
+def _power(base: int, exponent: float) -> float:
+    """base ** exponent as a float (also for an int exponent), saturated to
+    +inf where it overflows."""
+    try:
+        return float(base) ** exponent
+    except OverflowError:
+        return math.inf
+
+
+@functools.lru_cache(maxsize=4096)
 def choose_h(
     ctx: PrimeContext, params: ExponentParams, variant: str, policy: HPolicy
 ) -> int:
     """Probe budget for the chosen variant and mode; TooLarge where it
-    passes LOOP_CAP after the window cap, before any query."""
+    passes LOOP_CAP after the window cap, before any query.
+
+    Computed once per (p, e, variant, policy) and cached; errors are raised
+    again on every call.  A theoretical closed form that overflows a float
+    saturates, so the window cap decides.  A probe costs two modular
+    exponentiations for unknown t (one per oracle) and three for known t
+    (an inverse, the local power and the oracle's), so a theoretical window
+    near LOOP_CAP at a 61-bit p runs for minutes on an equal pair.
+    """
     p, e = ctx.p, params.e
     if e > (p - 1) // 2:
         raise RangeViolation(f"e={e} exceeds (p-1)/2")
+    cap = _cap(policy, p)
     if policy.mode == "exact":
         if variant == "known_t":
             h = longest_coset_run(ctx, params) + 1
@@ -83,15 +102,14 @@ def choose_h(
     else:
         eps = policy.epsilon
         if variant == "known_t":
-            h = math.ceil(min(e ** (0.25 + eps), p ** (0.25 + eps)))
+            w = min(_power(e, 0.25 + eps), _power(p, 0.25 + eps))
         else:
-            h = math.ceil(
-                min(
-                    max(e**0.5 * p**eps, e**2 * p ** (eps - 1)),
-                    math.sqrt(p) * math.log(p) ** 2,
-                )
+            w = min(
+                max(_power(e, 0.5) * _power(p, eps), e**2 * _power(p, eps - 1)),
+                math.sqrt(p) * math.log(p) ** 2,
             )
-    h = max(1, min(h, _cap(policy, p)))
+        h = math.ceil(min(w, cap))
+    h = max(1, min(h, cap))
     if h > LOOP_CAP:
         raise TooLarge(f"window h={h} above loop cap")
     return h
@@ -107,10 +125,11 @@ def test_known_t(
     if not (0 <= t < p):
         raise OutOfRange(f"t={t} outside [0, {p})")
     h = choose_h(ctx, params, "known_t", policy)
+    query = oracle_s.query
     for y in range(1, h + 1):
-        x = (pow(y, -1, p) - t) % p
-        local = pow((x + t) % p, e, p)
-        if oracle_s.query(x) != local:
+        # x = inv - t, so the local value (x + t)^e is inv^e
+        inv = pow(y, -1, p)
+        if query(inv - t) != pow(inv, e, p):
             return DISTINCT
     return EQUAL
 
@@ -126,7 +145,8 @@ def test_unknown_t(
         raise MismatchedParams("oracles disagree on (p, e)")
     ctx, params = oracle_s.ctx, oracle_s.params
     h = choose_h(ctx, params, "unknown_t", policy)
+    query_s, query_t = oracle_s.query, oracle_t.query
     for x in range(h + 1):
-        if oracle_s.query(x) != oracle_t.query(x):
+        if query_s(x) != query_t(x):
             return DISTINCT
     return EQUAL

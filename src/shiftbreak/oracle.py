@@ -19,21 +19,25 @@ class ShiftOracle:
         s: int,
         forbidden: frozenset[int] = frozenset(),
     ):
-        if not (0 <= s < ctx.p):
-            raise OutOfRange(f"s={s} outside [0, {ctx.p})")
+        p = ctx.p
+        if not (0 <= s < p):
+            raise OutOfRange(f"s={s} outside [0, {p})")
         self.ctx = ctx
         self.params = params
-        self.forbidden = frozenset(x % ctx.p for x in forbidden)
+        self._p = p
+        self._e = params.e
+        self.forbidden = frozenset([x % p for x in forbidden])
         self.__s = s
         self._calls = 0
 
     def query(self, x: int) -> int:
-        x %= self.ctx.p
+        x %= self._p
         if x in self.forbidden:
             # Rejections carry no information about s and are not counted.
             raise ForbiddenInput(f"x={x} is forbidden")
         self._calls += 1
-        return pow((x + self.__s) % self.ctx.p, self.params.e, self.ctx.p)
+        # pow reduces its base, so x + s needs no reduction of its own
+        return pow(x + self.__s, self._e, self._p)
 
     @property
     def calls(self) -> int:

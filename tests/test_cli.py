@@ -516,6 +516,41 @@ def test_identity_exact_windows_beyond_the_old_caps():
     assert run_main(["identity", "--p", "1000000009", "--e", "8"]) == (4, "")
 
 
+@pytest.mark.parametrize(
+    "p, e, epsilon, code, label",
+    [
+        (211, 30, "nan", 2, "config error"),
+        (211, 30, "inf", 2, "config error"),
+        # the closed form overflows a float and saturates to the window cap
+        (211, 30, "400", 0, None),
+        (211, 30, "1e308", 0, None),
+        (2**61 - 1, 1001, "400", 4, "resource cap"),
+    ],
+)
+def test_theoretical_epsilon_exits_typed(capsys, p, e, epsilon, code, label):
+    argv = ["identity", "--p", str(p), "--e", str(e), "--s", "5", "--t", "5",
+            "--mode", "theoretical", "--epsilon", epsilon]
+    got, out = run_main(argv)
+    err = capsys.readouterr().err
+    assert got == code
+    if code == 0:
+        row = json.loads(out)
+        assert (row["h"], row["probes"], row["verdict"]) == (p - 1, p - 1, "equal")
+        assert err == ""
+    else:
+        assert out == ""
+        assert err.startswith(f"{label}: ")
+
+
+def test_config_nan_epsilon_is_config_error(tmp_path, capsys):
+    # json reads NaN, so a config file reaches the same check as the flag
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"epsilon": NaN, "mode": "theoretical"}')
+    argv = ["--config", str(cfg), "identity", "--p", "211", "--e", "30", "--s", "5"]
+    assert run_main(argv) == (2, "")
+    assert capsys.readouterr().err == "config error: epsilon must be finite and positive\n"
+
+
 def test_exit_codes():
     code, _ = run_main(["recover", "--p", "13"])  # missing e
     assert code == 2

@@ -12,7 +12,7 @@ from shiftbreak.errors import (
 )
 from shiftbreak.oracle import new_oracle
 
-from reference import divisors
+from reference import divisors, primes_below
 
 
 def make(p, e, s, forbidden=frozenset()):
@@ -191,3 +191,113 @@ def test_exact_unknown_window_caps_p_squared(monkeypatch):
         it.exact_unknown_window(10007, 2)
     with pytest.raises(TooLarge):
         it.exact_unknown_window(1000000009, 8)
+
+
+def test_equal_pairs_make_exactly_the_window_calls():
+    # s = t never disagrees, so each tester spends its whole window: h calls
+    # for known t, h + 1 per oracle for unknown t
+    for p in primes_below(60):
+        ctx = fc.make_context(p)
+        for e in divisors(p - 1):
+            if e > (p - 1) // 2:
+                continue
+            params = fc.make_params(ctx, e)
+            for mode in ("exact", "theoretical"):
+                policy = it.HPolicy(mode=mode)
+                h_known = it.choose_h(ctx, params, "known_t", policy)
+                h_unknown = it.choose_h(ctx, params, "unknown_t", policy)
+                for s in (0, p // 3, p - 1):
+                    o = make(p, e, s, forbidden=frozenset({(-s) % p}))
+                    assert it.test_known_t(o, s, policy) == it.EQUAL
+                    assert o.calls == h_known, (p, e, mode, s)
+                    o_s, o_t = make(p, e, s), make(p, e, s)
+                    assert it.test_unknown_t(o_s, o_t, policy) == it.EQUAL
+                    assert o_s.calls + o_t.calls == 2 * (h_unknown + 1), (p, e, mode, s)
+
+
+def test_choose_h_same_window_cold_and_warm():
+    caches = [it.choose_h, it.exact_unknown_window, bl.longest_coset_run]
+    cells = [(13, 3), (29, 7), (61, 12), (1009, 36)]
+
+    def windows():
+        out = []
+        for p, e in cells:
+            ctx = fc.make_context(p)
+            params = fc.make_params(ctx, e)
+            for mode in ("exact", "theoretical"):
+                for variant in ("known_t", "unknown_t"):
+                    if mode == "exact" and variant == "unknown_t" and p > 100:
+                        continue  # exhaustive window too slow here
+                    policy = it.HPolicy(mode=mode)
+                    out.append(it.choose_h(ctx, params, variant, policy))
+        return out
+
+    def clear():
+        for cache in caches:
+            cache.cache_clear()
+            assert cache.cache_info().currsize == 0
+
+    clear()
+    cold = windows()
+    misses = it.choose_h.cache_info().misses
+    warm = windows()
+    # the contexts are rebuilt, but equal ones find the cached window
+    assert it.choose_h.cache_info().misses == misses
+    clear()
+    assert cold == warm == windows()
+
+
+def test_choose_h_raises_again_on_an_identical_call():
+    ctx = fc.make_context(2**61 - 1)
+    params = fc.make_params(ctx, 1001)
+    policy = it.HPolicy(mode="theoretical", epsilon=5)
+    small = fc.make_context(13)
+    small_params = fc.make_params(small, 12)
+    for _ in range(2):
+        with pytest.raises(TooLarge):
+            it.choose_h(ctx, params, "known_t", policy)
+        with pytest.raises(RangeViolation):
+            it.choose_h(small, small_params, "known_t", it.HPolicy())
+
+
+def test_equal_contexts_hash_equal_and_share_cache_entries():
+    a, b = fc.make_context(1009), fc.make_context(1009)
+    assert a is not b and a == b and hash(a) == hash(b)
+    pa, pb = fc.make_params(a, 36), fc.make_params(b, 36)
+    assert pa is not pb and pa == pb and hash(pa) == hash(pb)
+    bl.longest_coset_run.cache_clear()
+    want = bl.longest_coset_run(a, pa)
+    info = bl.longest_coset_run.cache_info()
+    assert bl.longest_coset_run(b, pb) == want
+    after = bl.longest_coset_run.cache_info()
+    assert (after.hits, after.misses) == (info.hits + 1, info.misses)
+
+
+def test_params_with_the_same_e_at_different_p_are_unequal():
+    # d = (p-1)/e tells them apart, so no cache mixes up their windows
+    small, large = fc.make_context(13), fc.make_context(1009)
+    assert small != large
+    p13, p1009 = fc.make_params(small, 3), fc.make_params(large, 3)
+    assert p13.e == p1009.e and p13 != p1009
+    policy = it.HPolicy(mode="exact")
+    assert it.choose_h(small, p13, "known_t", policy) == 3
+    assert it.choose_h(large, p1009, "known_t", policy) == bl.longest_coset_run(
+        large, p1009
+    ) + 1
+
+
+@pytest.mark.parametrize("epsilon", [float("nan"), float("inf"), -float("inf")])
+def test_epsilon_must_be_finite_and_positive(epsilon):
+    with pytest.raises(ConfigError):
+        it.HPolicy(mode="theoretical", epsilon=epsilon)
+
+
+def test_overflowing_closed_form_saturates_to_the_window_cap():
+    # 30^400.25 overflows a float, also from an int epsilon (30^400 is an
+    # exact int until it meets a float): the window is the cap
+    ctx = fc.make_context(211)
+    params = fc.make_params(ctx, 30)
+    for cap, want in ((None, 210), (7, 7)):
+        policy = it.HPolicy(mode="theoretical", epsilon=400, cap=cap)
+        assert it.choose_h(ctx, params, "known_t", policy) == want
+        assert it.choose_h(ctx, params, "unknown_t", policy) == want
