@@ -276,6 +276,7 @@ def run_bench(args) -> list[dict]:
                 "mean_calls": round(sum(calls) / len(calls), 4),
                 "max_calls": max(calls),
                 "interpolation_baseline": e + 1,
+                "calls_bound": sr.calls_bound(p, params.d),
             }
             if args.timing:
                 out["wall_time"] = round(time.perf_counter() - started, 6)

@@ -15,7 +15,11 @@ oracle's ForbiddenInput.  No call is made at a point where every candidate
 left predicts the same answer, so no recovery queries a point twice.
 
 Narrowing picks each probe by one statistic, r: the size of the largest
-class of candidates that predict the same answer pair at x and zeta*x.
+class of candidates that predict the same answer pair at x and zeta*x.  On a
+whole zero-call coset S = t0*G_e (the first round of zero-call narrowing)
+probes x and x*w, w in G_e, give S the same answer pairs and so the same r,
+and a round evaluates only the first probe of each coset of G_e.  A window
+segment costs at most 2|S| exponentiations per probe.
 
 A trace is a plain list; each round appends ("r", probe, size before, size
 after) for narrowing, ("random", x, None, size after) per randomized draw,
@@ -166,14 +170,23 @@ def narrow_candidates(
     largest class of predicted answer pairs at x and zeta*x; the window
     doubles while no probe certifies strict shrinkage (r < |S|).  The chosen
     probe's predicted pairs are kept from the scan and filter the set, so no
-    power is computed twice.  A window segment costs 2|S| pow calls per
-    probe; TooLarge before a segment whose cost passes LOOP_CAP.
+    power is computed twice.  A window segment costs at most 2|S| pow calls
+    per probe; TooLarge before a segment whose bound, counted over every
+    probe in it, passes LOOP_CAP.
 
     `agreed` holds points at which every member of S is known to predict the
     same answer.  A probe with x and zeta*x both there has r = |S| and can
     never be chosen, so it is skipped without computing a power.  Both of
     the chosen probe's points go through `_answer` and into `agreed`: the
     kept candidates agree there.
+
+    With 0 in `agreed` and |S| = e, every member solves t^e = A, which has
+    at most e roots, so S is all of them and S = S*w for each w in G_e.
+    Then t -> t*w maps the pairs at x onto those at x*w, since
+    ((t*w + x*w)^e, (t*w + zeta*x*w)^e) = ((t + x)^e, (t + zeta*x)^e): both
+    probes have the same r.  Only the first probe of each coset x*G_e, keyed
+    by x^e, is evaluated, so the chosen probe, the kept set and the calls
+    are those of a full scan.
     """
     ctx, params = oracle.ctx, oracle.params
     p, e = ctx.p, params.e
@@ -183,6 +196,8 @@ def narrow_candidates(
     zeta = _zeta(ctx)
     if agreed is None:
         agreed = set()
+    # S is all of t^e = A: one probe per coset x*G_e is evaluated
+    classes = set() if 0 in agreed and size == e else None
     scanned = 0
     while True:
         if (h - scanned) * 2 * size > LOOP_CAP:
@@ -192,6 +207,11 @@ def narrow_candidates(
             zx = zeta * x % p
             if x in agreed and zx in agreed:
                 continue
+            if classes is not None:
+                key = pow(x, e, p)
+                if key in classes:
+                    continue
+                classes.add(key)
             keys = _probe_keys(p, e, S, x, zx)
             v = _stat_r(keys)
             if best_val is None or v < best_val:
@@ -290,6 +310,20 @@ def recover_smooth_narrow(
 ) -> int:
     S0, wits = initial_candidates_smooth(oracle)
     return recover_from_candidates(oracle, S0, policy, trace, range(wits.n + 1))
+
+
+def calls_bound(p: int, d: int) -> int:
+    """The least k with N_k >= p, where N_0 = 1 and N_k = d*N_(k-1) + 1: an
+    answer lies in {0} and the d-th roots of unity, and 0 singles out one
+    shift, so k calls tell at most N_k shifts apart, and any recovery that
+    always finds s makes at least this many calls on some s.  At d = 1,
+    N_k = k + 1 gives p - 1 in closed form."""
+    if d == 1:
+        return p - 1
+    k, n = 0, 1
+    while n < p:
+        k, n = k + 1, d * n + 1
+    return k
 
 
 def randomized_probe_count(p: int, e: int) -> int:

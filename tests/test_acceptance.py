@@ -52,16 +52,6 @@ def test_01_root_sets_match_brute_force():
 DETERMINISTIC = ("interpolation", "zero_call_narrow", "smooth_narrow", "large_e")
 
 
-def calls_lower_bound(p, d):
-    """min{k : N_k >= p}, N_0 = 1, N_k = d*N_(k-1) + 1: an answer lies in
-    {0} and the d-th roots of unity, and 0 singles out one shift, so k calls
-    tell at most N_k shifts apart."""
-    k, n = 0, 1
-    while n < p:
-        k, n = k + 1, d * n + 1
-    return k
-
-
 def test_02_recovery_sound_for_every_shift():
     # every deterministic algorithm also stays within interpolation's e + 1
     # oracle calls; randomized is bounded in the mean (criterion 04).  No
@@ -90,7 +80,7 @@ def test_02_recovery_sound_for_every_shift():
                         S0 = sr.initial_candidates_zero_call(o, wits)
                         assert sr.recover_randomized(o, S0, seed) == s, (p, e, s, seed)
                         worst[seed] = max(worst[seed], o.calls)
-                bound = calls_lower_bound(p, params.d)
+                bound = sr.calls_bound(p, params.d)
                 assert min(worst.values()) >= bound, (p, e, bound, worst)
 
 

@@ -273,6 +273,15 @@ def test_bench_single_cell():
     interp = next(r for r in rows if r["algorithm"] == "interpolation")
     assert interp["max_calls"] == 13
     assert interp["interpolation_baseline"] == 13
+    # at d = 1 a call rules out one shift: p - 1 calls in the worst case
+    assert [r["calls_bound"] for r in rows] == [12, 12]
+    assert list(interp)[-2:] == ["interpolation_baseline", "calls_bound"]
+    # at d = 7, N_3 = 400 >= 211 > N_2 = 57
+    code, out = run_main(
+        ["bench", "--p", "211", "--e", "30", "--trials", "1", "--algorithms", "zero_call_narrow"]
+    )
+    assert code == 0
+    assert [json.loads(line)["calls_bound"] for line in out.strip().splitlines()] == [3]
 
 
 def test_bench_reproducible():

@@ -215,16 +215,62 @@ def test_narrowing_matches_the_statistic_reference():
                 s = rng.randrange(p)
                 o = new_oracle(ctx, params, s)
                 S = sr.initial_candidates_zero_call(o, full_witness_set(ctx, params))
+                # as in recover_from_candidates: the seed's x = 0 and each
+                # round's probes are agreed, so round 1 on a whole coset
+                # evaluates one probe per coset of G_e
+                agreed = {0}
                 while len(S) > 1:
                     o, ref = (new_oracle(ctx, params, s) for _ in "ab")
                     trace = []
-                    got = sr.narrow_candidates(o, S, sr.ProbePolicy(), trace)
+                    got = sr.narrow_candidates(o, S, sr.ProbePolicy(), trace, agreed)
                     want = stat_reference_narrow(ref, S, sr.ProbePolicy())
                     assert (trace[0][1], got) == want
                     assert o.calls == ref.calls
                     rounds += 1
                     S = got
     assert rounds > 100
+
+
+def test_r_statistic_is_constant_on_cosets_of_G_e_over_a_zero_call_seed():
+    # S0 = t0*G_e, and t -> t*w maps the answer pairs at x onto those at x*w
+    rng = random.Random(19)
+    checked = 0
+    for p in (q for q in range(3, 150) if fc.is_prime(q)):
+        ctx = fc.make_context(p)
+        for e in divisors(p - 1):
+            d = (p - 1) // e
+            if not (2 <= d <= 8 and e > 4):
+                continue
+            params = fc.make_params(ctx, e)
+            w = pow(ctx.g, d, p)
+            o = new_oracle(ctx, params, rng.randrange(1, p))
+            S = sr.initial_candidates_zero_call(o, full_witness_set(ctx, params))
+            assert len(S) == e
+            for x in range(1, 31):
+                assert sr.collision_stat_r(ctx, params, S, x) == sr.collision_stat_r(
+                    ctx, params, S, x * w % p
+                ), (p, e, x)
+                checked += 1
+    assert checked > 1000
+
+
+def test_round_one_on_a_zero_call_seed_evaluates_one_probe_per_coset(monkeypatch):
+    # the first window is x = 0..3 and x = 0 is agreed; 2 and 3 are squares
+    # mod 1009 (d = 2), and mod 331 (d = 2) 3 is a square but 2 is not
+    probes = []
+    probe_keys = sr._probe_keys
+
+    def recording_probe_keys(p, e, S, x, zx):
+        probes.append((len(trace), x))
+        return probe_keys(p, e, S, x, zx)
+
+    monkeypatch.setattr(sr, "_probe_keys", recording_probe_keys)
+    for p, e, want in ((1009, 504, [1]), (331, 165, [1, 2])):
+        for s in (1, 77, p - 2):
+            probes.clear()
+            trace = []
+            assert sr.recover(make(p, e, s), "zero_call_narrow", trace=trace) == s
+            assert [x for rnd, x in probes if rnd == 0] == want, (p, e, s)
 
 
 @pytest.mark.parametrize("e", (5, 6, 7))
