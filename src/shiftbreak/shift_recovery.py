@@ -196,7 +196,7 @@ def narrow_candidates(
     zeta = _zeta(ctx)
     if agreed is None:
         agreed = set()
-    # S is all of t^e = A: one probe per coset x*G_e is evaluated
+    # 0 agreed and |S| = e: S = S*w for w in G_e
     classes = set() if 0 in agreed and size == e else None
     scanned = 0
     while True:
@@ -316,10 +316,7 @@ def calls_bound(p: int, d: int) -> int:
     """The least k with N_k >= p, where N_0 = 1 and N_k = d*N_(k-1) + 1: an
     answer lies in {0} and the d-th roots of unity, and 0 singles out one
     shift, so k calls tell at most N_k shifts apart, and any recovery that
-    always finds s makes at least this many calls on some s.  At d = 1,
-    N_k = k + 1 gives p - 1 in closed form."""
-    if d == 1:
-        return p - 1
+    always finds s makes at least this many calls on some s."""
     k, n = 0, 1
     while n < p:
         k, n = k + 1, d * n + 1
