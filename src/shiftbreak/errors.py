@@ -41,14 +41,6 @@ class ForbiddenInput(ShiftbreakError):
 
 
 # root_solver
-class NotCoprime(ShiftbreakError):
-    pass
-
-
-class NotInSubgroup(ShiftbreakError):
-    pass
-
-
 class BadWitness(ShiftbreakError):
     pass
 

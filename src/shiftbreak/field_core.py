@@ -190,21 +190,12 @@ def subgroup_elements(ctx: PrimeContext, params: ExponentParams) -> tuple[int, .
     return tuple(sorted(out))
 
 
-@dataclass(frozen=True)
-class IndexTable:
-    p: int
-    g: int
-    ind: tuple[int, ...]  # ind[x] for x in [0, p); ind[0] unused (0)
-
-    def __call__(self, x: int) -> int:
-        return self.ind[x]
-
-
 @functools.lru_cache(maxsize=16)
-def build_index_table(ctx: PrimeContext) -> IndexTable:
-    """Dense x -> ind(x) with g^ind(x) = x and ind values in [1, p-1].
+def build_index_table(ctx: PrimeContext) -> tuple[int, ...]:
+    """Dense ind with g^ind[x] = x and ind[x] in [1, p-1] for x in [1, p);
+    ind[0] is 0 and unused.
 
-    ind(1) = p-1 by convention, not 0.
+    ind[1] = p-1 by convention, not 0.
     """
     p = ctx.p
     if p > DENSE_TABLE_CAP:
@@ -214,7 +205,7 @@ def build_index_table(ctx: PrimeContext) -> IndexTable:
     for z in range(1, p):
         x = x * ctx.g % p
         ind[x] = z
-    return IndexTable(p=p, g=ctx.g, ind=tuple(ind))
+    return tuple(ind)
 
 
 def character_eval(
@@ -226,8 +217,8 @@ def character_eval(
     """
     if x % ctx.p == 0:
         return 0j
-    table = build_index_table(ctx)
-    return cmath.exp(2j * math.pi * j * table(x % ctx.p) / params.d)
+    ind = build_index_table(ctx)
+    return cmath.exp(2j * math.pi * j * ind[x % ctx.p] / params.d)
 
 
 def least_nonresidue(ctx: PrimeContext, ell: int) -> int:

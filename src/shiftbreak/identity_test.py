@@ -80,15 +80,16 @@ def _power(base: int, exponent: float) -> float:
 def choose_h(
     ctx: PrimeContext, params: ExponentParams, variant: str, policy: HPolicy
 ) -> int:
-    """Probe budget for the chosen variant and mode; TooLarge where it
-    passes LOOP_CAP after the window cap, before any query.
+    """Probe budget for the chosen variant and mode; TooLarge, before any
+    query, where its modular exponentiations pass LOOP_CAP after the window
+    cap.
 
-    Computed once per (p, e, variant, policy) and cached; errors are raised
-    again on every call.  A theoretical closed form that overflows a float
-    saturates, so the window cap decides.  A probe costs two modular
-    exponentiations for unknown t (one per oracle) and three for known t
-    (an inverse, the local power and the oracle's), so a theoretical window
-    near LOOP_CAP at a 61-bit p runs for minutes on an equal pair.
+    A known-t probe costs three (an inverse, the local power and the
+    oracle's), so h probes cost 3h; the unknown-t window probes x = 0..h at
+    two each (one per oracle), 2(h + 1).  Computed once per
+    (p, e, variant, policy) and cached; errors are raised again on every
+    call.  A theoretical closed form that overflows a float saturates, so
+    the window cap decides.
     """
     p, e = ctx.p, params.e
     if e > (p - 1) // 2:
@@ -110,8 +111,9 @@ def choose_h(
             )
         h = math.ceil(min(w, cap))
     h = max(1, min(h, cap))
-    if h > LOOP_CAP:
-        raise TooLarge(f"window h={h} above loop cap")
+    pows = 3 * h if variant == "known_t" else 2 * (h + 1)
+    if pows > LOOP_CAP:
+        raise TooLarge(f"window h={h} needs {pows} exponentiations, above loop cap")
     return h
 
 

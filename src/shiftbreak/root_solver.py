@@ -3,15 +3,15 @@
 `consecutive_roots` solves (x + j)^e = A_j for j = 0..n: one root of A_0 by
 Pohlig-Hellman over the part of p-1 whose primes divide e, then a walk of its
 coset of G_e.  The zero-call roots and the smooth pigeonhole are its n = 0 and
-n = 1 cases.  The per-prime witness descent stays only as the tests'
-reference and as tracer hooks.  The per-(p, e) constants and witness sets are
+n = 1 cases, and `restricted_roots` and `roots_with_index_divisibility` are
+filters of its roots.  The paper's per-prime witness descent is the tests'
+independent reference.  The per-(p, e) constants and witness sets are
 cached.  Solution sets are sorted ascending; every root found is re-verified.
 """
 
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 
 from .errors import (
@@ -19,9 +19,7 @@ from .errors import (
     BadWitness,
     IncompleteWitnesses,
     LengthMismatch,
-    NotCoprime,
     NotDividing,
-    NotInSubgroup,
     TooLarge,
 )
 from .field_core import (
@@ -29,6 +27,7 @@ from .field_core import (
     ExponentParams,
     PrimeContext,
     least_nonresidue,
+    make_params,
 )
 
 
@@ -36,9 +35,9 @@ from .field_core import (
 class WitnessSet:
     """Per-prime witnesses (ell, w_ell, gamma_ell); n = prod ell^gamma_ell.
 
-    When gamma_ell < v_ell(p-1) the witness is an ell^(gamma_ell+1)-th power
-    nonresidue; when gamma_ell equals the full multiplicity no witness is
-    needed (the coprime-exponent path applies).
+    The paper's pigeonhole restricts roots to n | ind x.  Recovery uses only
+    plain nonresidues (gamma = 0, n = 1, `full_witness_set`); the witnesses
+    are checked, never used to find a root.
     """
 
     entries: tuple[tuple[int, int, int], ...]
@@ -56,12 +55,6 @@ class WitnessSet:
                 return w
         raise IncompleteWitnesses(f"no witness for ell={ell}")
 
-    def gamma(self, ell: int) -> int:
-        for q, _, gamma in self.entries:
-            if q == ell:
-                return gamma
-        raise IncompleteWitnesses(f"no gamma for ell={ell}")
-
     def covers(self, e_factors) -> bool:
         have = {q for q, _, _ in self.entries}
         return all(ell in have for ell, _ in e_factors)
@@ -74,74 +67,6 @@ def full_witness_set(ctx: PrimeContext, params: ExponentParams) -> WitnessSet:
     return WitnessSet(
         tuple((ell, least_nonresidue(ctx, ell), 0) for ell, _ in params.e_factors)
     )
-
-
-def _ell_multiplicity(ctx: PrimeContext, ell: int) -> int:
-    for q, k in ctx.group_order_factors:
-        if q == ell:
-            return k
-    raise NotDividing(f"ell={ell} does not divide p-1={ctx.p - 1}")
-
-
-def root_coprime(ctx: PrimeContext, m: int, d_exp: int, a: int) -> int:
-    """Unique solution of x^d_exp = a in the order-m subgroup, gcd(d_exp, m)=1."""
-    if math.gcd(d_exp, m) != 1:
-        raise NotCoprime(f"gcd({d_exp}, {m}) != 1")
-    if pow(a, m, ctx.p) != 1:
-        raise NotInSubgroup(f"a={a} not in the order-{m} subgroup")
-    f = pow(d_exp, -1, m)
-    return pow(a, f, ctx.p)
-
-
-def roots_prime_given_witness(
-    ctx: PrimeContext, m: int, r: int, b: int, a: int
-) -> tuple[int, ...]:
-    """All solutions of x^r = a in the order-m subgroup of F_p^*.
-
-    r is a prime divisor of m; b is a subgroup element that is not an r-th
-    power there.  Deterministic descent in the r-torsion, O(r * v_r(m)) group
-    operations plus exponentiations.
-    """
-    p = ctx.p
-    if pow(b, m // r, p) == 1:
-        raise BadWitness(f"b={b} is an r-th power in the subgroup")
-    if pow(a, m, p) != 1:
-        raise NotInSubgroup(f"a={a} not in the order-{m} subgroup")
-    if pow(a, m // r, p) != 1:
-        return ()
-    alpha = 0
-    t = m
-    while t % r == 0:
-        t //= r
-        alpha += 1
-    z = pow(b, t, p)  # generator of the r^alpha-torsion
-    omega = pow(z, r ** (alpha - 1), p)  # primitive r-th root of unity
-    # digits of k with z^k = a^t, base r (Pohlig-Hellman style)
-    target = pow(a, t, p)
-    z_inv = pow(z, -1, p)
-    k = 0
-    for i in range(alpha):
-        c = pow(target * pow(z_inv, k, p) % p, r ** (alpha - 1 - i), p)
-        digit = 0
-        acc = 1
-        while acc != c:
-            acc = acc * omega % p
-            digit += 1
-            if digit >= r:
-                raise NotInSubgroup("descent failed: target outside r-torsion")
-        k += digit * r**i
-    # solvability check above guarantees r | k
-    w = pow(z, k // r, p)
-    u = pow(r, -1, t) if t > 1 else 0
-    j = (r * u - 1) // t
-    x0 = pow(a, u, p) * pow(pow(w, -1, p), j, p) % p
-    roots = []
-    x = x0
-    for _ in range(r):
-        roots.append(x)
-        x = x * omega % p
-    assert all(pow(x, r, p) == pow(a, 1, p) for x in roots)
-    return tuple(sorted(roots))
 
 
 @dataclass(frozen=True)
@@ -336,73 +261,47 @@ def all_eth_roots(
 
 
 def restricted_roots(
-    ctx: PrimeContext, ell: int, beta: int, witness: int, A: int
+    ctx: PrimeContext, ell: int, beta: int, A: int
 ) -> tuple[int, ...]:
-    """All x with x^ell = A and ell^beta | ind x.
+    """All x with x^ell = A and ell^beta | ind x: the roots of x^ell = A
+    (`consecutive_roots`) with x^((p-1)/ell^beta) = 1.  NotDividing unless
+    ell is a prime of p-1 and 0 <= beta <= v_ell(p-1); TooLarge above
+    ell = EXHAUSTIVE_CAP.
 
-    beta equal to the full multiplicity of ell in p-1 gives a unique root via
-    the coprime-exponent path; smaller beta uses the witness inside the
-    subgroup {x : ell^beta | ind x}.
+    Nothing in the package calls it; it stays only because the benchmark's
+    tracer (`perfbench/tracer.py`, `TRACED`) looks it up by name, and goes
+    with that hook.
     """
     p = ctx.p
-    alpha = _ell_multiplicity(ctx, ell)
-    A %= p
+    alpha = dict(ctx.group_order_factors).get(ell)
+    if alpha is None:
+        raise NotDividing(f"ell={ell} does not divide p-1={p - 1}")
     if not (0 <= beta <= alpha):
         raise NotDividing(f"beta={beta} outside [0, {alpha}]")
-    if pow(A, (p - 1) // ell**beta, p) != 1:
-        return ()  # A itself must satisfy the index divisibility
-    if beta == alpha:
-        m0 = (p - 1) // ell**alpha
-        if pow(A, m0, p) != 1:
-            return ()
-        return (root_coprime(ctx, m0, ell, A),)
-    m0 = (p - 1) // ell**beta
-    # gamma of the witness is found by direct testing
-    gamma_w = 0
-    while gamma_w < alpha and pow(witness, (p - 1) // ell ** (gamma_w + 1), p) == 1:
-        gamma_w += 1
-    if gamma_w > beta:
-        raise BadWitness(
-            f"witness {witness} is an ell^{beta + 1}-th power residue"
-        )
-    b = pow(witness, ell ** (beta - gamma_w), p)
-    return roots_prime_given_witness(ctx, m0, ell, b, A)
+    m = (p - 1) // ell**beta
+    roots = consecutive_roots(ctx, make_params(ctx, ell), (A,))
+    return tuple(x for x in roots if pow(x, m, p) == 1)
 
 
 def roots_with_index_divisibility(
     ctx: PrimeContext, params: ExponentParams, witnesses: WitnessSet, A: int
 ) -> tuple[int, ...]:
-    """All x with x^e = A and n | ind x, n from the witness set."""
+    """All x with x^e = A and n | ind x, n = witnesses.n: the roots of
+    x^e = A (`consecutive_roots`) with x^((p-1)/n) = 1.  The witnesses must
+    cover every prime of e and A must be nonzero; TooLarge above
+    e = EXHAUSTIVE_CAP.
+
+    Nothing in the package calls it; it stays only because the benchmark's
+    tracer (`perfbench/tracer.py`, `TRACED`) looks it up by name, and goes
+    with that hook.
+    """
     p = ctx.p
     if not witnesses.covers(params.e_factors):
         raise IncompleteWitnesses("missing a prime of e")
-    A %= p
-    if A == 0:
+    if A % p == 0:
         raise NotDividing("A must be nonzero")
-    current = {A}
-    for ell, k in params.e_factors:
-        gamma = witnesses.gamma(ell)
-        w = witnesses.witness(ell)
-        alpha = _ell_multiplicity(ctx, ell)
-        for i in range(1, k + 1):
-            beta = min(gamma + k - i, alpha)
-            nxt = set()
-            for z in current:
-                nxt.update(restricted_roots(ctx, ell, beta, w, z))
-            current = nxt
-            if not current:
-                return ()
-    out = [
-        x
-        for x in current
-        if pow(x, params.e, p) == A
-        and all(
-            pow(x, (p - 1) // ell ** witnesses.gamma(ell), p) == 1
-            for ell, _ in params.e_factors
-        )
-    ]
-    assert len(out) == len(current), "descent produced a spurious root"
-    return tuple(sorted(out))
+    m = (p - 1) // witnesses.n
+    return tuple(x for x in consecutive_roots(ctx, params, (A,)) if pow(x, m, p) == 1)
 
 
 def candidates_from_consecutive_powers(
@@ -415,8 +314,9 @@ def candidates_from_consecutive_powers(
     witnesses, which must cover every prime of e.  The smooth pigeonhole's
     witnesses are plain nonresidues (gamma = 0), so n = 1 and this solves one
     pair of answers.  The paper's pigeonhole on indices mod n finds the same
-    set through n(n+1)/2 restricted descents (`roots_with_index_divisibility`),
-    which is no cheaper on any cell measured, from p = 101 to 2^61 - 1.
+    set from n(n+1)/2 root sets of answer ratios with n | ind y, a per-prime
+    witness descent each, which was no cheaper on any cell measured, from
+    p = 101 to 2^61 - 1; the tests keep that descent as their reference.
     """
     if not witnesses.covers(params.e_factors):
         raise IncompleteWitnesses("missing a prime of e")

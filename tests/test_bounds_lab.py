@@ -446,7 +446,7 @@ def index_table_smooth_order(ctx, y):
     p = ctx.p
     g = p - 1
     for x in range(1, min(y, p - 1) + 1):
-        g = math.gcd(g, table(x))
+        g = math.gcd(g, table[x])
     return (p - 1) // math.gcd(p - 1, g)
 
 

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from shiftbreak import field_core as fc
@@ -58,10 +60,34 @@ def test_choose_h_above_the_loop_cap_is_too_large():
     policy = it.HPolicy(mode="theoretical", epsilon=5)
     with pytest.raises(TooLarge):
         it.choose_h(ctx, params, "known_t", policy)
-    capped = it.HPolicy(mode="theoretical", epsilon=5, cap=fc.LOOP_CAP)
-    assert it.choose_h(ctx, params, "known_t", capped) == fc.LOOP_CAP
     policy = it.HPolicy(mode="theoretical", epsilon=1)
     assert it.choose_h(ctx, params, "known_t", policy) == 5631
+
+
+@pytest.mark.parametrize(
+    "variant, largest", [("known_t", 33_333_333), ("unknown_t", 49_999_999)]
+)
+def test_choose_h_caps_the_window_in_exponentiations(variant, largest):
+    # known t costs 3h pows and unknown t 2(h + 1): the largest window under
+    # LOOP_CAP runs, one more probe is TooLarge; choose_h alone, no query
+    ctx = fc.make_context(2**61 - 1)
+    params = fc.make_params(ctx, 1001)
+    policy = it.HPolicy(mode="theoretical", epsilon=5, cap=largest)
+    assert it.choose_h(ctx, params, variant, policy) == largest
+    with pytest.raises(TooLarge):
+        it.choose_h(ctx, params, variant, replace(policy, cap=largest + 1))
+
+
+def test_choose_h_known_t_stops_the_minutes_long_window():
+    # epsilon = 2.32: h = 51,418,048 probes under LOOP_CAP, but 3h pows above
+    # it (about 8 minutes on an equal pair); epsilon = 2.2 still runs
+    ctx = fc.make_context(2**61 - 1)
+    params = fc.make_params(ctx, 1001)
+    policy = it.HPolicy(mode="theoretical", epsilon=2.32)
+    with pytest.raises(TooLarge, match="h=51418048"):
+        it.choose_h(ctx, params, "known_t", policy)
+    policy = it.HPolicy(mode="theoretical", epsilon=2.2)
+    assert it.choose_h(ctx, params, "known_t", policy) == 22_442_100
 
 
 def test_choose_h_range_violation():

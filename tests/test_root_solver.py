@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -11,7 +12,7 @@ from shiftbreak.errors import (
     BadWitness,
     IncompleteWitnesses,
     LengthMismatch,
-    NotCoprime,
+    NotDividing,
     TooLarge,
 )
 
@@ -34,25 +35,131 @@ def brute_roots(p, e, A):
     return tuple(sorted(x for x in range(p) if pow(x, e, p) == A % p))
 
 
+# The per-prime witness descent: the paper's root solver and the tests'
+# independent reference for `consecutive_roots`.  It calls nothing in
+# `root_solver`, and a bad input fails a plain assertion.
+
+
+def ell_multiplicity(ctx, ell):
+    """v_ell(p-1) for a prime ell | p-1."""
+    full = dict(ctx.group_order_factors)
+    assert ell in full, (ell, ctx.p)
+    return full[ell]
+
+
+def root_coprime(ctx, m, d_exp, a):
+    """Unique solution of x^d_exp = a in the order-m subgroup, gcd(d_exp, m)=1."""
+    assert math.gcd(d_exp, m) == 1 and pow(a, m, ctx.p) == 1
+    return pow(a, pow(d_exp, -1, m), ctx.p)
+
+
+def roots_prime_given_witness(ctx, m, r, b, a):
+    """All solutions of x^r = a in the order-m subgroup of F_p^*.
+
+    r is a prime divisor of m; b is a subgroup element that is not an r-th
+    power there.  Deterministic descent in the r-torsion, O(r * v_r(m)) group
+    operations plus exponentiations.
+    """
+    p = ctx.p
+    assert pow(b, m // r, p) != 1, "b is an r-th power in the subgroup"
+    assert pow(a, m, p) == 1, "a is outside the subgroup"
+    if pow(a, m // r, p) != 1:
+        return ()
+    alpha = 0
+    t = m
+    while t % r == 0:
+        t //= r
+        alpha += 1
+    z = pow(b, t, p)  # generator of the r^alpha-torsion
+    omega = pow(z, r ** (alpha - 1), p)  # primitive r-th root of unity
+    # digits of k with z^k = a^t, base r (Pohlig-Hellman style)
+    target = pow(a, t, p)
+    z_inv = pow(z, -1, p)
+    k = 0
+    for i in range(alpha):
+        c = pow(target * pow(z_inv, k, p) % p, r ** (alpha - 1 - i), p)
+        digit = 0
+        acc = 1
+        while acc != c:
+            acc = acc * omega % p
+            digit += 1
+            assert digit < r, "target outside the r-torsion"
+        k += digit * r**i
+    # solvability check above guarantees r | k
+    w = pow(z, k // r, p)
+    u = pow(r, -1, t) if t > 1 else 0
+    j = (r * u - 1) // t
+    x0 = pow(a, u, p) * pow(pow(w, -1, p), j, p) % p
+    roots = []
+    x = x0
+    for _ in range(r):
+        roots.append(x)
+        x = x * omega % p
+    assert all(pow(x, r, p) == a for x in roots)
+    return tuple(sorted(roots))
+
+
+def descent_restricted_roots(ctx, ell, beta, witness, A):
+    """All x with x^ell = A and ell^beta | ind x.
+
+    beta equal to the full multiplicity of ell in p-1 gives a unique root via
+    the coprime-exponent path; smaller beta uses the witness, an
+    ell^(beta+1)-th power nonresidue, inside the subgroup {x : ell^beta | ind x}.
+    """
+    p = ctx.p
+    alpha = ell_multiplicity(ctx, ell)
+    A %= p
+    assert 0 <= beta <= alpha
+    m0 = (p - 1) // ell**beta
+    if pow(A, m0, p) != 1:
+        return ()  # A itself must satisfy the index divisibility
+    if beta == alpha:
+        return (root_coprime(ctx, m0, ell, A),)
+    gamma_w = 0
+    while gamma_w < alpha and pow(witness, (p - 1) // ell ** (gamma_w + 1), p) == 1:
+        gamma_w += 1
+    assert gamma_w <= beta, "the witness is an ell^(beta+1)-th power"
+    b = pow(witness, ell ** (beta - gamma_w), p)
+    return roots_prime_given_witness(ctx, m0, ell, b, A)
+
+
+def descent_index_roots(ctx, params, witnesses, A):
+    """All x with x^e = A and n | ind x, n from the witness set: peel one
+    ell-th root at a time, keeping ell^beta | ind at each step."""
+    p = ctx.p
+    A %= p
+    assert A != 0
+    gammas = {ell: gamma for ell, _, gamma in witnesses.entries}
+    current = {A}
+    for ell, k in params.e_factors:
+        gamma = gammas[ell]
+        w = witnesses.witness(ell)
+        alpha = ell_multiplicity(ctx, ell)
+        for i in range(1, k + 1):
+            beta = min(gamma + k - i, alpha)
+            nxt = set()
+            for z in current:
+                nxt.update(descent_restricted_roots(ctx, ell, beta, w, z))
+            current = nxt
+            if not current:
+                return ()
+    for x in current:
+        assert pow(x, params.e, p) == A
+        assert all(pow(x, (p - 1) // ell**g, p) == 1 for ell, g in gammas.items())
+    return tuple(sorted(current))
+
+
 def test_root_coprime_example():
     ctx = fc.make_context(13)
-    assert rs.root_coprime(ctx, 12, 5, 6) == 2
-    assert rs.root_coprime(ctx, 12, 5, 1) == 1
-    with pytest.raises(NotCoprime):
-        rs.root_coprime(ctx, 12, 3, 6)
+    assert root_coprime(ctx, 12, 5, 6) == 2
+    assert root_coprime(ctx, 12, 5, 1) == 1
 
 
 def test_roots_prime_given_witness_examples():
     ctx = fc.make_context(13)
-    assert rs.roots_prime_given_witness(ctx, 12, 3, 2, 12) == (4, 10, 12)
-    assert rs.roots_prime_given_witness(ctx, 12, 3, 2, 1) == (1, 3, 9)
-    assert rs.roots_prime_given_witness(ctx, 12, 3, 2, 2) == ()
-
-
-def test_roots_prime_given_witness_rejects_residue_witness():
-    ctx = fc.make_context(13)
-    with pytest.raises(BadWitness):
-        rs.roots_prime_given_witness(ctx, 12, 3, 8, 12)  # 8 = 2^3 is a cube
+    assert roots_prime_given_witness(ctx, 12, 3, 2, 12) == (4, 10, 12)
+    assert roots_prime_given_witness(ctx, 12, 3, 2, 1) == (1, 3, 9)
+    assert roots_prime_given_witness(ctx, 12, 3, 2, 2) == ()
 
 
 def test_roots_prime_given_witness_brute_force():
@@ -61,7 +168,7 @@ def test_roots_prime_given_witness_brute_force():
         for r, _ in ctx.group_order_factors:
             b = fc.least_nonresidue(ctx, r)
             for a in range(1, p):
-                got = rs.roots_prime_given_witness(ctx, p - 1, r, b, a)
+                got = roots_prime_given_witness(ctx, p - 1, r, b, a)
                 assert got == brute_roots(p, r, a)
 
 
@@ -72,7 +179,7 @@ def test_roots_prime_given_witness_proper_subgroup():
     assert pow(5, 2, 13) != 1 and 5 in sub
     for a in sorted(sub):
         expect = tuple(sorted(x for x in sub if x * x % 13 == a))
-        assert rs.roots_prime_given_witness(ctx, 4, 2, 5, a) == expect
+        assert roots_prime_given_witness(ctx, 4, 2, 5, a) == expect
 
 
 def test_all_eth_roots_examples():
@@ -134,7 +241,7 @@ def descent_eth_roots(ctx, params, A):
         w = fc.least_nonresidue(ctx, ell)
         for _ in range(k):
             rem //= ell
-            roots = rs.roots_prime_given_witness(ctx, p - 1, ell, w, cur)
+            roots = roots_prime_given_witness(ctx, p - 1, ell, w, cur)
             cur = next(x for x in roots if pow(x, (p - 1) // rem, p) == 1)
     return tuple(sorted(cur * mu % p for mu in fc.subgroup_elements(ctx, params)))
 
@@ -160,9 +267,14 @@ def test_all_eth_roots_requires_witnesses():
 
 def test_restricted_roots_examples():
     ctx = fc.make_context(13)
-    assert rs.restricted_roots(ctx, 3, 1, 2, 8) == (5,)
-    assert rs.restricted_roots(ctx, 3, 1, 2, 1) == (1,)
-    assert rs.restricted_roots(ctx, 2, 0, 2, 12) == (5, 8)
+    assert rs.restricted_roots(ctx, 3, 1, 8) == (5,)
+    assert rs.restricted_roots(ctx, 3, 1, 1) == (1,)
+    assert rs.restricted_roots(ctx, 2, 0, 12) == (5, 8)
+    assert descent_restricted_roots(ctx, 3, 1, 2, 8) == (5,)
+    assert descent_restricted_roots(ctx, 2, 0, 2, 12) == (5, 8)
+    for ell, beta in ((5, 0), (4, 0), (3, 2), (3, -1)):
+        with pytest.raises(NotDividing):
+            rs.restricted_roots(ctx, ell, beta, 1)
 
 
 def test_restricted_roots_brute_force():
@@ -173,14 +285,15 @@ def test_restricted_roots_brute_force():
             w = fc.least_nonresidue(ctx, ell)
             for beta in range(alpha + 1):
                 for A in range(1, p):
-                    got = rs.restricted_roots(ctx, ell, beta, w, A)
                     expect = tuple(
                         sorted(
                             x
                             for x in range(1, p)
-                            if pow(x, ell, p) == A and table(x) % ell**beta == 0
+                            if pow(x, ell, p) == A and table[x] % ell**beta == 0
                         )
                     )
+                    assert rs.restricted_roots(ctx, ell, beta, A) == expect
+                    got = descent_restricted_roots(ctx, ell, beta, w, A)
                     assert got == expect, (p, ell, beta, A)
 
 
@@ -193,6 +306,10 @@ def test_roots_with_index_divisibility_examples():
     assert rs.roots_with_index_divisibility(ctx, params, wits_n3, 2) == ()
     wits_n1 = rs.full_witness_set(ctx, params)
     assert rs.roots_with_index_divisibility(ctx, params, wits_n1, 5) == (7, 8, 11)
+    assert descent_index_roots(ctx, params, wits_n3, 8) == (5,)
+    assert descent_index_roots(ctx, params, wits_n1, 5) == (7, 8, 11)
+    with pytest.raises(NotDividing):
+        rs.roots_with_index_divisibility(ctx, params, wits_n1, 13)
 
 
 def test_roots_with_index_divisibility_brute_force():
@@ -223,15 +340,16 @@ def test_roots_with_index_divisibility_brute_force():
                 wits = rs.WitnessSet(tuple(entries))
                 n = wits.n
                 A = rng.randrange(1, p)
-                got = rs.roots_with_index_divisibility(ctx, params, wits, A)
                 expect = tuple(
                     sorted(
                         x
                         for x in range(1, p)
-                        if pow(x, e, p) == A and table(x) % n == 0
+                        if pow(x, e, p) == A and table[x] % n == 0
                     )
                 )
+                got = rs.roots_with_index_divisibility(ctx, params, wits, A)
                 assert got == expect, (p, e, A, wits)
+                assert descent_index_roots(ctx, params, wits, A) == expect
 
 
 def test_candidates_examples():
@@ -361,8 +479,9 @@ def test_candidates_match_brute_force_planted():
 
 def pigeonhole_candidates(ctx, params, wits, answers):
     """The paper's pair descent: for every j1 < j2 solve y^e = A_j2/A_j1
-    with n | ind y, set x = (j2 - j1)/(y - 1) - j1, and keep the x that
-    satisfy every answer.  A reference for answers with no zero."""
+    with n | ind y (`descent_index_roots`), set x = (j2 - j1)/(y - 1) - j1,
+    and keep the x that satisfy every answer.  A reference for answers with
+    no zero."""
     p = ctx.p
     n = wits.n
     cands = set()
@@ -370,7 +489,7 @@ def pigeonhole_candidates(ctx, params, wits, answers):
         inv_a1 = pow(answers[j1], -1, p)
         for j2 in range(j1 + 1, n + 1):
             ratio = answers[j2] * inv_a1 % p
-            for y in rs.roots_with_index_divisibility(ctx, params, wits, ratio):
+            for y in descent_index_roots(ctx, params, wits, ratio):
                 if y != 1:
                     cands.add(((j2 - j1) * pow(y - 1, -1, p) - j1) % p)
     return tuple(
@@ -490,6 +609,49 @@ def test_coset_intersection_matches_root_filter_at_large_p():
                     got = rs.candidates_from_consecutive_powers(ctx, params, wits, answers)
                     assert got == root_filter_candidates(ctx, params, answers)
                     assert s is None or s in got
+
+
+def test_references_never_call_the_solver(monkeypatch):
+    # the descent has left root_solver, and the references run with its
+    # solvers disabled: a large-p cross-check never compares
+    # consecutive_roots with itself
+    for name in ("roots_prime_given_witness", "root_coprime", "_ell_multiplicity"):
+        assert not hasattr(rs, name)
+
+    def refuse(name):
+        def call(*args, **kwargs):
+            raise AssertionError(f"a reference called rs.{name}")
+
+        return call
+
+    solvers = ("consecutive_roots", "restricted_roots", "roots_with_index_divisibility")
+    for name in solvers:
+        monkeypatch.setattr(rs, name, refuse(name))
+    rng = random.Random(3)
+    for p, e in ((61, 12), (MERSENNE_61, 150)):
+        ctx = fc.make_context(p)
+        params = fc.make_params(ctx, e)
+        wits = rs.WitnessSet(
+            tuple((q, fc.least_nonresidue(ctx, q), 0) for q, _ in params.e_factors)
+        )
+        if p < 100:
+            shifts = range(1, p - 1)  # no zero answer at x = 0, 1
+        else:
+            shifts = [rng.randrange(1, p - 1) for _ in range(3)]
+        for s in shifts:
+            answers = [pow(s, e, p), pow(s + 1, e, p)]
+            roots = descent_eth_roots(ctx, params, answers[0])
+            got = pigeonhole_candidates(ctx, params, wits, answers)
+            assert got == root_filter_candidates(ctx, params, answers)
+            assert s in got and len(roots) == e
+            assert all(pow(x, e, p) == answers[0] for x in roots)
+            if p < 100:
+                assert roots == brute_roots(p, e, answers[0])
+                assert got == tuple(
+                    x
+                    for x in range(p)
+                    if all(pow(x + j, e, p) == a for j, a in enumerate(answers))
+                )
 
 
 def test_consecutive_roots_match_brute_force_below_300():
