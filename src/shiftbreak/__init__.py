@@ -1,7 +1,7 @@
 """Hidden-shift recovery from prime-field power oracles.
 
 Subpackages:
- - field_core: arithmetic substrate (contexts, subgroups, indices, characters)
+ - field_core: arithmetic substrate (contexts, subgroups, characters, their sums)
  - oracle: the sealed (x+s)^e oracle with call accounting
  - root_solver: deterministic binomial-equation solvers
  - shift_recovery: shift-recovery algorithms and call benchmarking

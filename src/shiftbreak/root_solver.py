@@ -26,6 +26,7 @@ from .field_core import (
     EXHAUSTIVE_CAP,
     ExponentParams,
     PrimeContext,
+    coset_walk,
     least_nonresidue,
     make_params,
 )
@@ -184,13 +185,6 @@ def _one_root(ctx: PrimeContext, params: ExponentParams, A: int) -> int:
     return x
 
 
-def _coset_walk(x: int, h: int, size: int, p: int):
-    """Yield x, x*h, ..., x*h^(size-1) mod p."""
-    for _ in range(size):
-        yield x
-        x = x * h % p
-
-
 def consecutive_roots(
     ctx: PrimeContext, params: ExponentParams, answers
 ) -> tuple[int, ...]:
@@ -225,11 +219,11 @@ def consecutive_roots(
     if params.d == 1:
         return tuple(range(1, p - n)) if all(a == 1 for a in answers) else ()
     h = _root_plan(ctx, params).h
-    roots = _coset_walk(_one_root(ctx, params, answers[0]), h, e, p)
+    roots = coset_walk(_one_root(ctx, params, answers[0]), h, e, p)
     if n == 0:
         return tuple(sorted(roots))
     # x + 1 needs no reduction: it is at most p, and 0 lies in no coset
-    shifted = set(_coset_walk(_one_root(ctx, params, answers[1]), h, e, p))
+    shifted = set(coset_walk(_one_root(ctx, params, answers[1]), h, e, p))
     return tuple(
         sorted(x for x in roots if x + 1 in shifted and verifies(x, range(2, n + 1)))
     )
@@ -288,8 +282,8 @@ def roots_with_index_divisibility(
 ) -> tuple[int, ...]:
     """All x with x^e = A and n | ind x, n = witnesses.n: the roots of
     x^e = A (`consecutive_roots`) with x^((p-1)/n) = 1.  The witnesses must
-    cover every prime of e and A must be nonzero; TooLarge above
-    e = EXHAUSTIVE_CAP.
+    cover every prime of e, n must divide p - 1 and A must be nonzero;
+    TooLarge above e = EXHAUSTIVE_CAP.
 
     Nothing in the package calls it; it stays only because the benchmark's
     tracer (`perfbench/tracer.py`, `TRACED`) looks it up by name, and goes
@@ -298,6 +292,8 @@ def roots_with_index_divisibility(
     p = ctx.p
     if not witnesses.covers(params.e_factors):
         raise IncompleteWitnesses("missing a prime of e")
+    if (p - 1) % witnesses.n:
+        raise NotDividing(f"n={witnesses.n} does not divide p-1={p - 1}")
     if A % p == 0:
         raise NotDividing("A must be nonzero")
     m = (p - 1) // witnesses.n

@@ -14,6 +14,18 @@ def primes_below(n):
     return [p for p in range(3, n) if fc.is_prime(p)]
 
 
+def naive_index(ctx):
+    """Dense ind with g^ind[x] = x and ind[x] in [1, p-1] for x in [1, p);
+    ind[1] = p-1 by convention, and ind[0] is 0 and unused."""
+    p = ctx.p
+    ind = [0] * p
+    x = 1
+    for z in range(1, p):
+        x = x * ctx.g % p
+        ind[x] = z
+    return ind
+
+
 def naive_hyperbola(p, u, v, H):
     return sum(
         1

@@ -1,11 +1,16 @@
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from shiftbreak import bounds_lab as bl
 from shiftbreak import field_core as fc
 from shiftbreak.errors import (
+    AlgorithmFailure,
     BadV,
     DegeneratePair,
     DegenerateShift,
@@ -20,6 +25,7 @@ from reference import (
     divisors,
     naive_energy,
     naive_hyperbola,
+    naive_index,
     naive_J,
     primes_below,
 )
@@ -326,6 +332,39 @@ def test_spaced_partition_dense_interval():
     bl.check_spaced_partition(37, S, 0.0, part)
 
 
+# a partition of S = {1, 2, 3} at p = 37 whose one piece {1} leaves 2 and 3 out
+BAD_PARTITION_SCRIPT = """
+from shiftbreak import bounds_lab as bl
+from shiftbreak.errors import AlgorithmFailure
+part = bl.SpacedPartition(d_sets=((1,),), e_sets=(), leftover=())
+try:
+    bl.check_spaced_partition(37, {1, 2, 3}, 0.0, part)
+except AlgorithmFailure as exc:
+    print(exc)
+"""
+
+
+def test_check_spaced_partition_raises_a_typed_error():
+    part = bl.SpacedPartition(d_sets=((1,),), e_sets=(), leftover=())
+    with pytest.raises(AlgorithmFailure, match="does not cover S"):
+        bl.check_spaced_partition(37, {1, 2, 3}, 0.0, part)
+
+
+def test_check_spaced_partition_survives_optimized_mode():
+    # `python -O` strips assert statements; the checks must not depend on them
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", BAD_PARTITION_SCRIPT],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert out.stdout == "partition does not cover S\n", out.stderr
+
+
 def test_spaced_partition_rejects_small_modulus():
     with pytest.raises(TooSmall):
         bl.spaced_partition(31, {1, 2, 3, 4}, 0.0)
@@ -442,7 +481,7 @@ def test_psi_matches_sieve_random():
 
 def index_table_smooth_order(ctx, y):
     """Reference: p - 1 over the gcd of p - 1 and the indices of 1..y."""
-    table = fc.build_index_table(ctx)
+    table = naive_index(ctx)
     p = ctx.p
     g = p - 1
     for x in range(1, min(y, p - 1) + 1):

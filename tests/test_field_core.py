@@ -1,3 +1,5 @@
+import cmath
+import math
 import random
 import time
 
@@ -5,10 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from shiftbreak import bounds_lab as bl
 from shiftbreak import field_core as fc
 from shiftbreak.errors import NotPrime, Overflow, TooLarge
 
-from reference import divisors
+from reference import divisors, naive_index
 
 SMALL_PRIMES = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53]
 
@@ -161,30 +164,53 @@ def test_subgroup_matches_brute_force_and_is_closed():
 
 
 def test_index_table_13():
-    ctx = fc.make_context(13)
-    table = fc.build_index_table(ctx)
-    assert table[7] == 11
-    assert table[2] == 1
-    assert table[1] == 12
+    ctx = fc.make_context(13)  # g = 2
+    table = fc.build_index_table(ctx, fc.make_params(ctx, 3))
+    assert table == {1: 0, 8: 1, 12: 2, 5: 3}  # (2^3)^k for k < d = 4
+    ind = naive_index(ctx)
+    assert (ind[7], ind[2], ind[1]) == (11, 1, 12)
+    assert table[pow(7, 3, 13)] == ind[7] % 4
 
 
 def test_index_table_round_trips():
     for p in SMALL_PRIMES:
         ctx = fc.make_context(p)
-        table = fc.build_index_table(ctx)
-        seen = set()
-        for x in range(1, p):
-            z = table[x]
-            assert 1 <= z <= p - 1
-            assert pow(ctx.g, z, p) == x
-            seen.add(z)
-        assert len(seen) == p - 1
+        ind = naive_index(ctx)
+        for e in divisors(p - 1):
+            params = fc.make_params(ctx, e)
+            table = fc.build_index_table(ctx, params)
+            assert sorted(table.values()) == list(range(params.d))
+            for x in range(1, p):
+                assert table[pow(x, e, p)] == ind[x] % params.d, (p, e, x)
 
 
 def test_index_table_cap():
-    ctx = fc.make_context(2**24 + 43)  # prime just above the dense cap
+    ctx = fc.make_context(1000003)
+    params = fc.make_params(ctx, 1)  # d = 1000002, above EXHAUSTIVE_CAP
     with pytest.raises(TooLarge):
-        fc.build_index_table(ctx)
+        fc.build_index_table(ctx, params)
+    with pytest.raises(TooLarge):
+        fc.character_eval(ctx, params, 1, 2)
+
+
+def test_characters_at_2_61():
+    # d = 6 at p = 2^61 - 1: no table over the field
+    p = 2**61 - 1
+    ctx = fc.make_context(p)
+    params = fc.make_params(ctx, (p - 1) // 6)
+    for j in range(6):
+        for k in range(12):
+            got = fc.character_eval(ctx, params, j, pow(ctx.g, k, p))
+            assert abs(got - cmath.exp(2j * math.pi * j * k / 6)) < 1e-9, (j, k)
+    # reference: ind(y) mod 2 and mod 3 from y^((p-1)/2) and y^((p-1)/3)
+    omega = pow(ctx.g, (p - 1) // 3, p)
+    expect = 0j
+    for y in range(1, 1001):
+        r2 = 0 if pow(y, (p - 1) // 2, p) == 1 else 1
+        r3 = [1, omega, omega * omega % p].index(pow(y, (p - 1) // 3, p))
+        k = next(k for k in range(6) if k % 2 == r2 and k % 3 == r3)
+        expect += cmath.exp(2j * math.pi * k / 6)
+    assert abs(bl.char_sum_interval(ctx, params, 1, 1000) - expect) < 1e-9
 
 
 def test_character_examples():

@@ -16,7 +16,7 @@ from shiftbreak.errors import (
     TooLarge,
 )
 
-from reference import divisors
+from reference import divisors, naive_index
 
 PRIMES = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 53, 61, 73, 97]
 MERSENNE_61 = 2**61 - 1
@@ -280,7 +280,7 @@ def test_restricted_roots_examples():
 def test_restricted_roots_brute_force():
     for p in (13, 29, 41, 73):
         ctx = fc.make_context(p)
-        table = fc.build_index_table(ctx)
+        table = naive_index(ctx)
         for ell, alpha in ctx.group_order_factors:
             w = fc.least_nonresidue(ctx, ell)
             for beta in range(alpha + 1):
@@ -312,11 +312,22 @@ def test_roots_with_index_divisibility_examples():
         rs.roots_with_index_divisibility(ctx, params, wits_n1, 13)
 
 
+def test_roots_with_index_divisibility_rejects_n_not_dividing():
+    # n = 9 does not divide p - 1 = 12, so "9 | ind x" is no property of x;
+    # taken with ind in [1, p-1], no root of x^3 = 1 has it
+    ctx = fc.make_context(13)
+    params = fc.make_params(ctx, 3)
+    table = naive_index(ctx)
+    assert [x for x in range(1, 13) if pow(x, 3, 13) == 1 and table[x] % 9 == 0] == []
+    with pytest.raises(NotDividing):
+        rs.roots_with_index_divisibility(ctx, params, rs.WitnessSet(((3, 2, 2),)), 1)
+
+
 def test_roots_with_index_divisibility_brute_force():
     rng = random.Random(7)
     for p in (13, 29, 37, 61, 73):
         ctx = fc.make_context(p)
-        table = fc.build_index_table(ctx)
+        table = naive_index(ctx)
         for e in divisors(p - 1):
             if e == 1:
                 continue
