@@ -190,10 +190,11 @@ def subgroup_elements(ctx: PrimeContext, params: ExponentParams) -> tuple[int, .
     return tuple(sorted(coset_walk(1, pow(ctx.g, params.d, ctx.p), params.e, ctx.p)))
 
 
-@functools.lru_cache(maxsize=16)
+@functools.lru_cache(maxsize=1)
 def build_index_table(ctx: PrimeContext, params: ExponentParams) -> dict[int, int]:
     """{(g^e)^k: k for k in range(d)}, so table[x^e] = ind(x) mod d for x != 0.
-    O(d) time and memory for any p; TooLarge above d = EXHAUSTIVE_CAP."""
+    O(d) time and memory for any p; TooLarge above d = EXHAUSTIVE_CAP.  Only
+    the last table is cached, so the cache holds at most 10^6 entries."""
     p, d = ctx.p, params.d
     if d > EXHAUSTIVE_CAP:
         raise TooLarge(f"d={d} above the exhaustive cap {EXHAUSTIVE_CAP}")

@@ -2,11 +2,12 @@
 
 `consecutive_roots` solves (x + j)^e = A_j for j = 0..n: one root of A_0 by
 Pohlig-Hellman over the part of p-1 whose primes divide e, then a walk of its
-coset of G_e.  The zero-call roots and the smooth pigeonhole are its n = 0 and
-n = 1 cases, and `restricted_roots` and `roots_with_index_divisibility` are
-filters of its roots.  The paper's per-prime witness descent is the tests'
-independent reference.  The per-(p, e) constants and witness sets are
-cached.  Solution sets are sorted ascending; every root found is re-verified.
+coset of G_e.  Recovery calls it directly.  `all_eth_roots` (n = 0),
+`candidates_from_consecutive_powers` (n = 1), `restricted_roots` and
+`roots_with_index_divisibility` are off that path.  The paper's per-prime
+witness descent is the tests' independent reference.  Per-(p, e) constants
+and witness sets are cached.  Solution sets are sorted ascending; every root
+found is re-verified.
 """
 
 from __future__ import annotations
@@ -36,9 +37,8 @@ from .field_core import (
 class WitnessSet:
     """Per-prime witnesses (ell, w_ell, gamma_ell); n = prod ell^gamma_ell.
 
-    The paper's pigeonhole restricts roots to n | ind x.  Recovery uses only
-    plain nonresidues (gamma = 0, n = 1, `full_witness_set`); the witnesses
-    are checked, never used to find a root.
+    The paper's pigeonhole restricts roots to n | ind x.  Recovery uses none;
+    the witnesses are checked, never used to find a root.
     """
 
     entries: tuple[tuple[int, int, int], ...]
@@ -64,7 +64,8 @@ class WitnessSet:
 @functools.lru_cache(maxsize=64)
 def full_witness_set(ctx: PrimeContext, params: ExponentParams) -> WitnessSet:
     """Plain ell-th power nonresidues for every prime ell | e (gamma = 0);
-    cached per (p, e)."""
+    cached per (p, e).  Off the recovery path: kept for the tests and
+    perfbench/ (ROADMAP item 1)."""
     return WitnessSet(
         tuple((ell, least_nonresidue(ctx, ell), 0) for ell, _ in params.e_factors)
     )
@@ -242,6 +243,7 @@ def all_eth_roots(
 
     The witnesses are checked, not used: every prime of e needs one, and,
     once A is a nonzero e-th power, it must be an ell-th power nonresidue.
+    Off the recovery path: kept for the tests and perfbench/ (ROADMAP item 1).
     """
     if not witnesses.covers(params.e_factors):
         raise IncompleteWitnesses("missing a prime of e")
@@ -313,6 +315,7 @@ def candidates_from_consecutive_powers(
     set from n(n+1)/2 root sets of answer ratios with n | ind y, a per-prime
     witness descent each, which was no cheaper on any cell measured, from
     p = 101 to 2^61 - 1; the tests keep that descent as their reference.
+    Off the recovery path: kept for the tests and perfbench/ (ROADMAP item 1).
     """
     if not witnesses.covers(params.e_factors):
         raise IncompleteWitnesses("missing a prime of e")

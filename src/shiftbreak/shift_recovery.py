@@ -3,9 +3,12 @@
 Strategies, all honest oracle clients:
  - interpolation baseline (e+1 calls)
  - zero-call initial candidates + probe narrowing
- - smooth pigeonhole initial candidates (2 calls, at x = 0 and 1)
+ - smooth pigeonhole initial candidates (calls at x = 0 and 1)
  - randomized probing (seeded, mean O(1) calls)
  - large-e variant (m consecutive calls solved as one system, then narrowing)
+
+Every seed is `consecutive_roots` on the answers at consecutive points
+(`_seed_candidates`); a zero answer at x ends the queries, leaving -x.
 
 `recover` runs any of them by name, through the `ALGORITHMS` table.  A
 candidate set is a sorted tuple of shifts.  Every probe loop queries the
@@ -21,9 +24,9 @@ probes x and x*w, w in G_e, give S the same answer pairs and so the same r,
 and a round evaluates only the first probe of each coset of G_e.  A window
 segment costs at most 2|S| exponentiations per probe.
 
-A trace is a plain list; each round appends ("r", probe, size before, size
-after) for narrowing, ("random", x, None, size after) per randomized draw,
-and ("scan", m, p, size after) for the large-e scan.
+A trace is a plain list: ("r", probe, size before, size after) per narrowing
+round, ("random", x, None, size after) per randomized draw, and ("scan", m,
+p, size after) for the large-e scan, also when a zero answer ended it.
 """
 
 from __future__ import annotations
@@ -93,7 +96,8 @@ def _interp_weights(p: int, e: int) -> tuple[int, ...]:
 def initial_candidates_zero_call(
     oracle: ShiftOracle, witnesses: WitnessSet
 ) -> tuple[int, ...]:
-    """One call at x = 0; S_0 is the full e-th root set of the answer."""
+    """One call at x = 0; S_0 is the full e-th root set of the answer.
+    Off the recovery path: kept for the tests and perfbench/ (ROADMAP item 1)."""
     return all_eth_roots(oracle.ctx, oracle.params, oracle.query(0), witnesses)
 
 
@@ -104,6 +108,7 @@ def smooth_witnesses(ctx: PrimeContext, params: ExponentParams) -> WitnessSet:
     Every gamma_ell is then 0, so n = 1 and the pigeonhole queries x = 0, 1.
     The paper's search over x <= p^epsilon bounds only the local time of
     finding witnesses, while each unit of n costs an oracle call.
+    Off the recovery path: kept for the tests and perfbench/ (ROADMAP item 1).
     """
     return full_witness_set(ctx, params)
 
@@ -111,7 +116,8 @@ def smooth_witnesses(ctx: PrimeContext, params: ExponentParams) -> WitnessSet:
 def initial_candidates_smooth(
     oracle: ShiftOracle,
 ) -> tuple[tuple[int, ...], WitnessSet]:
-    """n+1 = 2 calls at x = 0, 1; the exact set of x with (x + j)^e = A_j."""
+    """n+1 = 2 calls at x = 0, 1; the exact set of x with (x + j)^e = A_j.
+    Off the recovery path: kept for the tests and perfbench/ (ROADMAP item 1)."""
     wits = smooth_witnesses(oracle.ctx, oracle.params)
     answers = [oracle.query(x) for x in range(wits.n + 1)]
     cands = candidates_from_consecutive_powers(
@@ -288,10 +294,22 @@ def recover_from_candidates(
     return _resolve_small(oracle, S)
 
 
-def _zero_call_seed(oracle: ShiftOracle) -> tuple[int, ...]:
-    """S_0 from one call at x = 0, with the full witness set."""
-    wits = full_witness_set(oracle.ctx, oracle.params)
-    return initial_candidates_zero_call(oracle, wits)
+def _seed_candidates(oracle: ShiftOracle, points: range) -> tuple[int, ...]:
+    """Query the points in order; the t with (t + x)^e = A_x at each x.  A
+    zero answer at x ends the queries and leaves the one candidate -x.
+
+    `consecutive_roots` solves the system in y = t + start.  The points start
+    at 0 or 1, and at 1 no root y is 0 (that needs A_1 = 0), so t = y - start
+    keeps the set sorted.  TooLarge above e = EXHAUSTIVE_CAP.
+    """
+    answers = []
+    for x in points:
+        a = oracle.query(x)
+        if a == 0:
+            return ((-x) % oracle.ctx.p,)
+        answers.append(a)
+    roots = consecutive_roots(oracle.ctx, oracle.params, answers)
+    return tuple(y - points.start for y in roots)
 
 
 def recover_zero_call_narrow(
@@ -299,8 +317,8 @@ def recover_zero_call_narrow(
     policy: ProbePolicy = ProbePolicy(),
     trace: list | None = None,
 ) -> int:
-    S0 = _zero_call_seed(oracle)
-    return recover_from_candidates(oracle, S0, policy, trace, (0,))
+    S0 = _seed_candidates(oracle, range(1))
+    return recover_from_candidates(oracle, S0, policy, trace, range(1))
 
 
 def recover_smooth_narrow(
@@ -308,8 +326,8 @@ def recover_smooth_narrow(
     policy: ProbePolicy = ProbePolicy(),
     trace: list | None = None,
 ) -> int:
-    S0, wits = initial_candidates_smooth(oracle)
-    return recover_from_candidates(oracle, S0, policy, trace, range(wits.n + 1))
+    S0 = _seed_candidates(oracle, range(2))
+    return recover_from_candidates(oracle, S0, policy, trace, range(2))
 
 
 def calls_bound(p: int, d: int) -> int:
@@ -366,47 +384,24 @@ def large_e_call_count(p: int, e: int) -> int:
     return int(math.log(p) * math.log(e) / (2 * math.log(p - 1))) + 1
 
 
-def _scan_candidates(
-    oracle: ShiftOracle, trace: list | None = None
-) -> tuple[int, ...]:
-    """m consecutive queries at x = 1..m, then the x with (x + j)^e = A_j for
-    every j; a zero answer at x = j leaves the one candidate -j.
-
-    With y = x + 1 the system is (y + j)^e = A_(j+1) for j = 0..m-1, which
-    `consecutive_roots` solves; no root y is 0, as that needs A_1 = 0, so
-    x = y - 1 keeps the set sorted.  TooLarge above e = EXHAUSTIVE_CAP.
-    """
-    ctx, params = oracle.ctx, oracle.params
-    p = ctx.p
-    m = large_e_call_count(p, params.e)
-    answers = []
-    for j in range(1, m + 1):
-        a = oracle.query(j)
-        if a == 0:
-            return ((-j) % p,)
-        answers.append(a)
-    members = tuple(y - 1 for y in consecutive_roots(ctx, params, answers))
-    if trace is not None:
-        trace.append(("scan", m, p, len(members)))
-    return members
-
-
 def recover_large_e(
     oracle: ShiftOracle,
     policy: ProbePolicy = ProbePolicy(),
     trace: list | None = None,
 ) -> int:
-    """Delegates to the small-e pipeline below e = p^0.9; otherwise runs the
-    consecutive-query scan phase, then narrows with a wide window."""
-    ctx, params = oracle.ctx, oracle.params
-    p, e = ctx.p, params.e
+    """Delegates to the small-e pipeline below e = p^0.9; otherwise scans
+    x = 1..m (`_seed_candidates`), then narrows with a wide window."""
+    p, e = oracle.ctx.p, oracle.params.e
     if e <= p**0.9:
         return recover_zero_call_narrow(oracle, policy, trace)
-    S = _scan_candidates(oracle, trace)
+    m = large_e_call_count(p, e)
+    points = range(1, m + 1)
+    S = _seed_candidates(oracle, points)
+    if trace is not None:
+        trace.append(("scan", m, p, len(S)))
     h = int((p / e) * math.sqrt(p) * math.log(p) ** 2)
     wide = replace(policy, initial_window=h)
-    m = large_e_call_count(p, e)
-    return recover_from_candidates(oracle, S, wide, trace, range(1, m + 1))
+    return recover_from_candidates(oracle, S, wide, trace, points)
 
 
 # Each algorithm's runner(oracle, policy, seed, trace).  A runner looks its
@@ -417,7 +412,7 @@ ALGORITHMS = {
     "zero_call_narrow": lambda o, pol, seed, tr: recover_zero_call_narrow(o, pol, tr),
     "smooth_narrow": lambda o, pol, seed, tr: recover_smooth_narrow(o, pol, tr),
     "randomized": lambda o, pol, seed, tr: recover_randomized(
-        o, _zero_call_seed(o), seed, tr
+        o, _seed_candidates(o, range(1)), seed, tr
     ),
     "large_e": lambda o, pol, seed, tr: recover_large_e(o, pol, tr),
 }

@@ -184,6 +184,14 @@ def test_index_table_round_trips():
                 assert table[pow(x, e, p)] == ind[x] % params.d, (p, e, x)
 
 
+def test_index_table_cache_keeps_one_table():
+    # a table near the cap holds about 10^6 entries: only the last is kept
+    ctx = fc.make_context(13)
+    for e in (3, 4):
+        fc.build_index_table(ctx, fc.make_params(ctx, e))
+    assert fc.build_index_table.cache_info().currsize == 1
+
+
 def test_index_table_cap():
     ctx = fc.make_context(1000003)
     params = fc.make_params(ctx, 1)  # d = 1000002, above EXHAUSTIVE_CAP

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from shiftbreak import field_core as fc
+from shiftbreak import root_solver as rs
 from shiftbreak import shift_recovery as sr
 from shiftbreak.errors import ConfigError, ForbiddenInput, Stalled, TooLarge
 from shiftbreak.oracle import ShiftOracle, new_oracle
@@ -342,8 +343,14 @@ def test_large_e_call_count_example():
 def test_scan_phase_zero_shortcut():
     # s = -1: the j=1 query answers 0 and the shift is read off directly
     o = make(13, 6, 12)
-    assert sr._scan_candidates(o) == (12,)
+    assert sr.large_e_call_count(13, 6) == 1
+    assert sr._seed_candidates(o, range(1, 2)) == (12,)
     assert o.calls == 1
+    # e = 12 > 13^0.9 scans x = 1, 2; x = 1 answers 0, and the scan entry
+    # is still written
+    trace = []
+    assert sr.recover_large_e(make(13, 12, 12), trace=trace) == 12
+    assert trace == [("scan", 2, 13, 1)]
 
 
 def test_recover_large_e_cases():
@@ -374,6 +381,16 @@ def test_smooth_narrow_recovers():
                 continue
             for s in range(0, p, 5):
                 assert sr.recover_smooth_narrow(make(p, e, s)) == s
+
+
+def test_smooth_narrow_makes_one_call_at_s_0():
+    # x = 0 answers 0, which leaves the one candidate 0: no call at x = 1,
+    # where that candidate predicts the answer 1
+    for p in (q for q in range(3, 100) if fc.is_prime(q)):
+        for e in divisors(p - 1):
+            o = make(p, e, 0)
+            assert sr.recover(o, "smooth_narrow") == 0
+            assert o.calls == 1, (p, e)
 
 
 def test_max_rounds_is_checked_before_a_round_starts():
@@ -432,6 +449,38 @@ def test_candidate_set_recovery_builds_no_power_table(no_power_table):
                 _calls_per_shift(algorithm, p, e)
 
 
+WITNESS_LAYER = (
+    "full_witness_set",
+    "all_eth_roots",
+    "candidates_from_consecutive_powers",
+    "least_nonresidue",
+)
+
+
+@pytest.fixture
+def no_witness_layer(monkeypatch):
+    """Recovery seeds with consecutive_roots alone: each witness-layer name
+    fails wherever shift_recovery and root_solver look it up."""
+
+    def refuse(name):
+        def refused(*args):
+            raise AssertionError(f"{name} called during recovery")
+
+        return refused
+
+    for module in (sr, rs, fc):
+        for name in WITNESS_LAYER:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse(name))
+
+
+def test_recovery_leaves_the_witness_layer(no_witness_layer):
+    for p in (13, 29, 61, 101):
+        for e in divisors(p - 1):
+            for algorithm in sr.ALGORITHMS:
+                _calls_per_shift(algorithm, p, e)
+
+
 @pytest.mark.parametrize(
     "p, exponents",
     [
@@ -458,14 +507,15 @@ def test_planted_shifts_at_large_p(no_power_table, p, exponents):
 # over s = 0..p-1 with randomized seed s + 1: the first 16 hex digits of the
 # sha256 of repr(per-shift calls for each e with d = (p-1)/e >= 2, ascending),
 # and the total calls over all shifts at d = 1.  smooth_narrow's rows are
-# those of its least-nonresidue witnesses (n = 1, two calls before narrowing).
+# those of its least-nonresidue witnesses (n = 1, calls at x = 0, 1 before
+# narrowing, none at x = 1 once x = 0 has answered 0).
 TABLE_ERA_CALLS = {
     ("zero_call_narrow", 13): ("33f1c19bb18e8527", 102),
     ("zero_call_narrow", 29): ("bfa84707490e7e98", 500),
     ("zero_call_narrow", 61): ("5bfab18e6ebef3c0", 2092),
-    ("smooth_narrow", 13): ("cdc17a9e257ae60d", 91),
-    ("smooth_narrow", 29): ("6d52471a6f8e822b", 435),
-    ("smooth_narrow", 61): ("be6d985d840c24ae", 1891),
+    ("smooth_narrow", 13): ("9a43be9825f93e8c", 90),
+    ("smooth_narrow", 29): ("a9cce0a5c3dc8628", 434),
+    ("smooth_narrow", 61): ("ff3892f5f8fa39bb", 1890),
     ("randomized", 13): ("2e3fc85a1048f1a8", 201),
     ("randomized", 29): ("34aba84225201cd0", 635),
     ("randomized", 61): ("5148901ebd332e90", 3810),
@@ -487,37 +537,48 @@ def test_large_e_at_d1_builds_no_power_table(no_power_table):
     # e = p-1: every nonzero answer is 1, so the scan's set is x = 0..p-m-1
     for p in (101, 211, 397):
         m = sr.large_e_call_count(p, p - 1)
-        assert sr._scan_candidates(make(p, p - 1, 0)) == tuple(range(p - m))
+        got = sr._seed_candidates(make(p, p - 1, 0), range(1, m + 1))
+        assert got == tuple(range(p - m))
         for s in range(p):
             assert sr.recover_large_e(make(p, p - 1, s)) == s
 
 
-def table_scan(oracle):
-    """Reference for `_scan_candidates`: the same queries at x = 1..m, then
-    every x in F_p checked against a table of x^e."""
+def table_scan(oracle, points):
+    """Reference for `_seed_candidates`: the same queries at the consecutive
+    points, then every x in F_p checked against a table of x^e."""
     p, e = oracle.ctx.p, oracle.params.e
-    m = sr.large_e_call_count(p, e)
-    answers = []
-    for j in range(1, m + 1):
+    answers = {}
+    for j in points:
         a = oracle.query(j)
         if a == 0:
             return ((-j) % p,)
-        answers.append(a)
+        answers[j] = a
     tab = [pow(x, e, p) for x in range(p)]
     return tuple(
-        x
-        for x in range(p)
-        if all(tab[(x + j) % p] == answers[j - 1] for j in range(1, m + 1))
+        x for x in range(p) if all(tab[(x + j) % p] == a for j, a in answers.items())
     )
+
+
+def test_seed_matches_the_table_scan():
+    # the zero-call seed, the smooth seed and the large_e scan, every shift
+    for p in (q for q in range(3, 100) if fc.is_prime(q)):
+        for e in divisors(p - 1):
+            m = sr.large_e_call_count(p, e)
+            for points in (range(1), range(2), range(1, m + 1)):
+                for s in range(p):
+                    got, want = make(p, e, s), make(p, e, s)
+                    seed = sr._seed_candidates(got, points)
+                    assert seed == table_scan(want, points), (p, e, points, s)
+                    assert got.calls == want.calls, (p, e, points, s)
 
 
 def _assert_scan_matches_table(p, d, rng):
     # the zero-answer shifts s = p-1..p-m, then seeded ones
     e = (p - 1) // d
-    m = sr.large_e_call_count(p, e)
-    for s in [p - j for j in range(1, m + 1)] + [rng.randrange(p) for _ in range(5)]:
+    points = range(1, sr.large_e_call_count(p, e) + 1)
+    for s in [p - j for j in points] + [rng.randrange(p) for _ in range(5)]:
         got, want = make(p, e, s), make(p, e, s)
-        assert sr._scan_candidates(got) == table_scan(want), (p, e, s)
+        assert sr._seed_candidates(got, points) == table_scan(want, points), (p, e, s)
         assert got.calls == want.calls, (p, e, s)
 
 
