@@ -116,7 +116,7 @@ def run_identity(args) -> list[dict]:
         raise ConfigError("identity requires --p and --e")
     ctx = fc.make_context(p)
     params = fc.make_params(ctx, e)
-    policy = it.HPolicy(mode=args.mode, epsilon=args.epsilon, cap=args.window_cap)
+    policy = it.HPolicy(mode=args.mode)
     rng = random.Random(args.seed)
     s = args.s if args.s is not None else rng.randrange(p)
     variant = "known_t" if args.t is not None else "unknown_t"
@@ -321,8 +321,6 @@ FLAGS = {
         "nargs": "*",
         "default": ("interpolation", "zero_call_narrow", "randomized"),
     },
-    "epsilon": {"type": float, "default": it.HPolicy.epsilon},
-    "window-cap": {"type": int},
     "seed": {"type": int, "default": 0},
     "trials": {"type": int, "default": 1},
     "output": {"choices": ("json", "csv", "table"), "default": "json"},
@@ -340,7 +338,7 @@ SUBCOMMANDS = {
     ),
     "identity": (
         run_identity,
-        ("p", "e", "s", "t", "mode", "epsilon", "window-cap", "seed", "output"),
+        ("p", "e", "s", "t", "mode", "seed", "output"),
     ),
     "lab": (run_lab, ("lemma", "grid", "p", "e", "output")),
     "bench": (
@@ -377,22 +375,19 @@ def _config_value(flag, value):
     """`value` as `--flag` would have parsed it, and null as the flag's
     default; ConfigError if it cannot be."""
     spec = FLAGS[flag]
-    kind = spec.get("type", str)
     if value is None:
         return spec.get("default")
     if spec.get("action") == "store_true":
         ok = isinstance(value, bool)
     elif spec.get("nargs") == "*":
         ok = isinstance(value, list) and all(isinstance(v, str) for v in value)
-    elif kind is float:
-        ok = _is_int(value) or isinstance(value, float)
-    elif kind is int:
+    elif spec.get("type") is int:
         ok = _is_int(value)
     else:
         ok = isinstance(value, str) and ("choices" not in spec or value in spec["choices"])
     if not ok:
         raise ConfigError(f"config value {value!r} is not valid for --{flag}")
-    return float(value) if kind is float else value
+    return value
 
 
 def _fill_flags(args, flags):

@@ -23,7 +23,8 @@ from .errors import NotDividing, NotPrime, Overflow, TooLarge
 MAX_P = 2**61
 # Largest e for the routines that walk G_e or make e + 1 queries: the e-th
 # root sets, the interpolation baseline, the longest coset run and the list
-# of G_e.  Also the largest d for the index table of the characters.
+# of G_e.  Also the largest d for the index table of the characters, and the
+# largest p for the dense power table.
 EXHAUSTIVE_CAP = 10**6
 # Largest number of steps for the loops whose cost is a stated product: the
 # lab's boxes, the exhaustive identity window and a narrowing window's pows.
@@ -235,13 +236,17 @@ def least_nonresidue(ctx: PrimeContext, ell: int) -> int:
     raise NotDividing(f"every residue is an {ell}-th power mod {p}")
 
 
-@functools.lru_cache(maxsize=128)
+@functools.lru_cache(maxsize=1)
 def power_table(p: int, e: int) -> tuple[int, ...]:
     """Dense x -> x^e mod p for x in [0, p).
 
     O(p) time and memory: for the one full-field enumeration only,
     exact_unknown_window under LOOP_CAP.  Recovery solves its candidate sets
     with consecutive_roots and computes (t + x)^e with pow, and
-    longest_coset_run reads the coset runs off G_e.
+    longest_coset_run reads the coset runs off G_e.  TooLarge above
+    p = EXHAUSTIVE_CAP, before anything is built; only the last table is
+    cached, so the cache holds at most 10^6 entries (about 39 MB).
     """
+    if p > EXHAUSTIVE_CAP:
+        raise TooLarge(f"p={p} above the exhaustive cap {EXHAUSTIVE_CAP}")
     return tuple(pow(x, e, p) for x in range(p))

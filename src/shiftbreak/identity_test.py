@@ -4,10 +4,11 @@ Variant 1 (known t): probe x = 1/y - t and compare the oracle against the
 locally computed (x+t)^e; the forbidden input -t is structurally unreachable.
 Variant 2 (unknown t): probe both oracles on a shared prefix of F_p.
 
-Probe-window sizes come either from closed-form exponents (theoretical mode)
-or from exact counts (exact mode, soundness guaranteed): the longest coset
-run for known t, and an exhaustive pair scan, capped at p = 10^4, for
-unknown t.
+Probe-window sizes come either from the paper's closed-form exponents at
+the fixed EPSILON (theoretical mode) or from exact counts (exact mode,
+soundness guaranteed): the longest coset run for known t, and an exhaustive
+pair scan, capped at p = 10^4, for unknown t.  Every window is capped at
+p - 1.
 """
 
 from __future__ import annotations
@@ -23,25 +24,17 @@ from .oracle import ShiftOracle
 
 EQUAL = "equal"
 DISTINCT = "distinct"
+# The epsilon of the theoretical windows' closed forms.
+EPSILON = 0.05
 
 
 @dataclass(frozen=True)
 class HPolicy:
     mode: str = "exact"  # exact | theoretical
-    epsilon: float = 0.05
-    cap: int | None = None  # default p-1 at use sites
 
     def __post_init__(self):
-        if not (math.isfinite(self.epsilon) and self.epsilon > 0):
-            raise ConfigError("epsilon must be finite and positive")
         if self.mode not in ("exact", "theoretical"):
             raise ConfigError(f"unknown mode {self.mode!r}")
-        if self.cap is not None and self.cap < 1:
-            raise ConfigError("window cap must be at least 1")
-
-
-def _cap(policy: HPolicy, p: int) -> int:
-    return p - 1 if policy.cap is None else min(policy.cap, p - 1)
 
 
 @functools.lru_cache(maxsize=4096)
@@ -67,50 +60,43 @@ def exact_unknown_window(p: int, e: int) -> int:
     return worst
 
 
-def _power(base: int, exponent: float) -> float:
-    """base ** exponent as a float (also for an int exponent), saturated to
-    +inf where it overflows."""
-    try:
-        return float(base) ** exponent
-    except OverflowError:
-        return math.inf
-
-
 @functools.lru_cache(maxsize=4096)
 def choose_h(
     ctx: PrimeContext, params: ExponentParams, variant: str, policy: HPolicy
 ) -> int:
-    """Probe budget for the chosen variant and mode; TooLarge, before any
-    query, where its modular exponentiations pass LOOP_CAP after the window
-    cap.
+    """Probe budget for the chosen variant and mode, at most p - 1;
+    TooLarge, before any query, where its modular exponentiations pass
+    LOOP_CAP.
 
     A known-t probe costs three (an inverse, the local power and the
     oracle's), so h probes cost 3h; the unknown-t window probes x = 0..h at
-    two each (one per oracle), 2(h + 1).  Computed once per
-    (p, e, variant, policy) and cached; errors are raised again on every
-    call.  A theoretical closed form that overflows a float saturates, so
-    the window cap decides.
+    two each (one per oracle), 2(h + 1).  Theoretical windows read the
+    closed forms at EPSILON: min(e, p)^(1/4 + eps) for known t, and
+    min(max(e^(1/2) p^eps, e^2 p^(eps - 1)), p^(1/2) log(p)^2) for unknown
+    t, neither of which overflows a float for p < 2^61.  A theoretical
+    known-t window stays far under LOOP_CAP (p^0.3 < 322,738 probes), but
+    unknown t at 2^61 - 1 and e = (p - 1)/2 asks for h = 2,714,722,608,904.
+    Computed once per (p, e, variant, mode) and cached; errors are raised
+    again on every call.
     """
     p, e = ctx.p, params.e
     if e > (p - 1) // 2:
         raise RangeViolation(f"e={e} exceeds (p-1)/2")
-    cap = _cap(policy, p)
     if policy.mode == "exact":
         if variant == "known_t":
             h = longest_coset_run(ctx, params) + 1
         else:
             h = exact_unknown_window(p, e)
     else:
-        eps = policy.epsilon
         if variant == "known_t":
-            w = min(_power(e, 0.25 + eps), _power(p, 0.25 + eps))
+            w = min(e ** (0.25 + EPSILON), p ** (0.25 + EPSILON))
         else:
             w = min(
-                max(_power(e, 0.5) * _power(p, eps), e**2 * _power(p, eps - 1)),
+                max(e**0.5 * p**EPSILON, e**2 * p ** (EPSILON - 1)),
                 math.sqrt(p) * math.log(p) ** 2,
             )
-        h = math.ceil(min(w, cap))
-    h = max(1, min(h, cap))
+        h = math.ceil(w)
+    h = max(1, min(h, p - 1))
     pows = 3 * h if variant == "known_t" else 2 * (h + 1)
     if pows > LOOP_CAP:
         raise TooLarge(f"window h={h} needs {pows} exponentiations, above loop cap")

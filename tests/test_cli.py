@@ -230,11 +230,11 @@ def test_lab_csv_and_table_bytes_are_pinned(tmp_path):
         (["bench", "--p", "211", "--e", "30", "--trials", "3", "--seed", "9"],
          ["--algorithms", "interpolation", "zero_call_narrow", "randomized"]),
         (["identity", "--p", "211", "--e", "30", "--seed", "4"],
-         ["--mode", "exact", "--epsilon", "0.05"]),
+         ["--mode", "exact"]),
         (["identity", "--p", "211", "--e", "30", "--s", "5", "--t", "9"],
-         ["--mode", "exact", "--epsilon", "0.05"]),
+         ["--mode", "exact"]),
         (["identity", "--p", "1009", "--e", "12", "--s", "3", "--mode", "theoretical"],
-         ["--epsilon", "0.05"]),
+         ["--seed", "0", "--output", "json"]),
     ],
 )
 def test_flag_left_out_equals_its_default(argv, defaults):
@@ -247,7 +247,7 @@ def test_flag_left_out_equals_its_default(argv, defaults):
     "argv, config",
     [
         (["identity", "--p", "211", "--e", "30", "--s", "5"],
-         {"mode": None, "epsilon": None, "seed": None}),
+         {"mode": None, "t": None, "seed": None}),
         (["recover", "--p", "211", "--e", "30"],
          {"algorithm": None, "trials": None, "output": None, "timing": None,
           "seed": None}),
@@ -355,7 +355,7 @@ def test_explicit_flag_at_its_default_beats_config(tmp_path):
         {"p": 13, "e": 3, "lemma": "psi"},  # a flag of another subcommand
         {"p": 13, "e": 3, "command": "lab"},
         [13, 3],
-        {"p": 13, "e": 3, "window_cap": 4},  # identity's, not recover's
+        {"p": 13, "e": 3, "window_cap": 4},  # no subcommand's
     ],
 )
 def test_bad_config_is_config_error(tmp_path, config):
@@ -372,9 +372,10 @@ def test_bad_config_is_config_error(tmp_path, config):
         ["lab", "--lemma", "coset_run", "--p", "13", "--e", "3", "--algorithm", "x"],
         # not an abbreviation of bench's own --algorithms
         ["bench", "--p", "13", "--e", "3", "--algorithm", "interpolation"],
-        # recovery takes no window cap; identity's --window-cap sets its h cap
+        # no subcommand takes a window cap: every window is capped at p - 1
         ["recover", "--p", "383", "--e", "191", "--s", "7", "--window-cap", "0"],
         ["bench", "--p", "13", "--e", "3", "--window-cap", "0"],
+        ["identity", "--p", "13", "--e", "3", "--s", "1", "--window-cap", "4"],
     ],
 )
 def test_flag_of_another_subcommand_exits_2(argv):
@@ -387,18 +388,32 @@ def test_flag_of_another_subcommand_exits_2(argv):
         ["recover", "--p", "13", "--e", "3", "--epsilon", "1"],
         ["recover", "--p", "13", "--e", "3", "--epsilon", "0.05"],
         ["bench", "--p", "13", "--e", "3", "--epsilon", "0.5"],
+        ["identity", "--p", "13", "--e", "3", "--epsilon", "1"],
     ],
 )
 def test_recovery_takes_no_epsilon(tmp_path, capsys, argv):
-    # the smooth pigeonhole's witnesses no longer depend on epsilon, which
-    # only the identity tests read: a usage error, and a config error in
-    # a --config file
+    # neither the smooth pigeonhole's witnesses nor the identity windows
+    # take an epsilon (theoretical windows read the constant EPSILON): a
+    # usage error, and a config error in a --config file
     assert run_main(argv) == (2, "")
     assert "unrecognized arguments: --epsilon" in capsys.readouterr().err
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"epsilon": 0.05}))
     assert run_main(["--config", str(cfg), *argv[:-2]]) == (2, "")
     assert capsys.readouterr().err.startswith("config error: ")
+
+
+@pytest.mark.parametrize("key", ["window_cap", "window-cap"])
+def test_identity_takes_no_window_cap(tmp_path, capsys, key):
+    # every window is capped at p - 1; test_recovery_takes_no_epsilon covers
+    # identity's epsilon alike
+    argv = ["identity", "--p", "13", "--e", "3", "--s", "1"]
+    assert run_main([*argv, "--window-cap", "4"]) == (2, "")
+    assert "unrecognized arguments: --window-cap 4" in capsys.readouterr().err
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: 4}))
+    assert run_main(["--config", str(cfg), *argv]) == (2, "")
+    assert capsys.readouterr().err == f"config error: identity takes no config key {key!r}\n"
 
 
 def test_known_command_lines_exit_0(tmp_path):
@@ -466,15 +481,11 @@ def test_usage_error_and_help_leave_the_parser_unchanged():
     [
         (["recover", "--p", "13", "--e", "3", "--trials", "-1"], None),
         (["bench", "--p", "13", "--e", "3", "--trials", "0"], None),
-        (["identity", "--p", "13", "--e", "3", "--epsilon", "0"], None),
         (["lab", "--lemma", "psi"], [{"x": 0, "y": 3}]),
         (["lab", "--lemma", "energy"], [{"p": 13, "a": 0, "H": -2}]),
         (["lab", "--lemma", "hyperbola"], [{"p": 13, "u": 0, "v": 5, "H": 0}]),
         # no trial would reach the algorithm, so its name is never checked
         (["recover", "--p", "13", "--e", "3", "--trials", "0", "--algorithm", "nope"], None),
-        (["identity", "--p", "13", "--e", "3", "--s", "1", "--window-cap", "0"], None),
-        (["identity", "--p", "13", "--e", "3", "--s", "1", "--window-cap", "-5"], None),
-        (["identity", "--p", "13", "--e", "3", "--mode", "theoretical", "--epsilon", "0"], None),
         (["lab", "--lemma", "product_J"], [{"p": 13, "nu": -2, "lam": 1, "s": 0, "h": 3}]),
         (["lab", "--lemma", "product_J"], [{"p": 13, "nu": 2, "lam": 1, "s": 0, "h": 0}]),
         (["lab", "--lemma", "product_set"], [{"p": 13, "nu": 2, "s": 1, "h": -5}]),
@@ -523,41 +534,6 @@ def test_identity_exact_windows_beyond_the_old_caps():
     assert json.loads(out)["verdict"] == "equal"
     # unknown t: the exhaustive window is O(p^2) and stops at p = 10^4
     assert run_main(["identity", "--p", "1000000009", "--e", "8"]) == (4, "")
-
-
-@pytest.mark.parametrize(
-    "p, e, epsilon, code, label",
-    [
-        (211, 30, "nan", 2, "config error"),
-        (211, 30, "inf", 2, "config error"),
-        # the closed form overflows a float and saturates to the window cap
-        (211, 30, "400", 0, None),
-        (211, 30, "1e308", 0, None),
-        (2**61 - 1, 1001, "400", 4, "resource cap"),
-    ],
-)
-def test_theoretical_epsilon_exits_typed(capsys, p, e, epsilon, code, label):
-    argv = ["identity", "--p", str(p), "--e", str(e), "--s", "5", "--t", "5",
-            "--mode", "theoretical", "--epsilon", epsilon]
-    got, out = run_main(argv)
-    err = capsys.readouterr().err
-    assert got == code
-    if code == 0:
-        row = json.loads(out)
-        assert (row["h"], row["probes"], row["verdict"]) == (p - 1, p - 1, "equal")
-        assert err == ""
-    else:
-        assert out == ""
-        assert err.startswith(f"{label}: ")
-
-
-def test_config_nan_epsilon_is_config_error(tmp_path, capsys):
-    # json reads NaN, so a config file reaches the same check as the flag
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text('{"epsilon": NaN, "mode": "theoretical"}')
-    argv = ["--config", str(cfg), "identity", "--p", "211", "--e", "30", "--s", "5"]
-    assert run_main(argv) == (2, "")
-    assert capsys.readouterr().err == "config error: epsilon must be finite and positive\n"
 
 
 def test_exit_codes():
@@ -656,13 +632,8 @@ ABOVE_THE_CAP = [
     )
     for a in sr.ALGORITHMS
 ] + [
-    # theoretical identity windows of about 5.7e15 and 2.7e12 probes, on an
-    # equal pair (the seed's first draw makes t = s), pass LOOP_CAP
-    pytest.param(
-        ["identity", "--p", M61, "--e", "1001", "--s", "5", "--t", "5",
-         "--mode", "theoretical", "--epsilon", "5"],
-        id="identity_known_t_epsilon_5",
-    ),
+    # the theoretical unknown-t window of about 2.7e12 probes, on an equal
+    # pair (the seed's first draw makes t = s), passes LOOP_CAP
     pytest.param(
         ["identity", "--p", M61, "--e", str((2**61 - 2) // 2), "--mode",
          "theoretical", "--seed", "0", "--s", "888315200261588941"],

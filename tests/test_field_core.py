@@ -291,3 +291,17 @@ def test_power_table_matches_pow():
     tab = fc.power_table(13, 3)
     for x in range(13):
         assert tab[x] == pow(x, 3, 13)
+
+
+def test_power_table_cap():
+    # a table is O(p): above EXHAUSTIVE_CAP it is TooLarge before it is built
+    assert 1000003 > fc.EXHAUSTIVE_CAP
+    with pytest.raises(TooLarge):
+        fc.power_table(1000003, 2)
+
+
+def test_power_table_cache_keeps_one_table():
+    # a table near the cap holds about 10^6 entries: only the last is kept
+    for e in (3, 4):
+        fc.power_table(13, e)
+    assert fc.power_table.cache_info().currsize == 1
