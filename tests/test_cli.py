@@ -481,11 +481,17 @@ def test_usage_error_and_help_leave_the_parser_unchanged():
     [
         (["recover", "--p", "13", "--e", "3", "--trials", "-1"], None),
         (["bench", "--p", "13", "--e", "3", "--trials", "0"], None),
+        (["bench", "--p", "13", "--e", "3", "--trials", "-1"], None),
         (["lab", "--lemma", "psi"], [{"x": 0, "y": 3}]),
         (["lab", "--lemma", "energy"], [{"p": 13, "a": 0, "H": -2}]),
         (["lab", "--lemma", "hyperbola"], [{"p": 13, "u": 0, "v": 5, "H": 0}]),
         # no trial would reach the algorithm, so its name is never checked
         (["recover", "--p", "13", "--e", "3", "--trials", "0", "--algorithm", "nope"], None),
+        (["bench", "--p", "13", "--e", "3", "--trials", "0", "--algorithms", "nope"], None),
+        # trials are checked before the field: e = 7 does not divide 12, and
+        # 12 is not prime
+        (["recover", "--p", "13", "--e", "7", "--trials", "0"], None),
+        (["bench", "--p", "12", "--e", "3", "--trials", "0"], None),
         (["lab", "--lemma", "product_J"], [{"p": 13, "nu": -2, "lam": 1, "s": 0, "h": 3}]),
         (["lab", "--lemma", "product_J"], [{"p": 13, "nu": 2, "lam": 1, "s": 0, "h": 0}]),
         (["lab", "--lemma", "product_set"], [{"p": 13, "nu": 2, "s": 1, "h": -5}]),
@@ -534,6 +540,15 @@ def test_identity_exact_windows_beyond_the_old_caps():
     assert json.loads(out)["verdict"] == "equal"
     # unknown t: the exhaustive window is O(p^2) and stops at p = 10^4
     assert run_main(["identity", "--p", "1000000009", "--e", "8"]) == (4, "")
+
+
+def test_config_nan_epsilon_is_config_error(tmp_path, capsys):
+    # json reads NaN, and identity takes no epsilon key at all
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"epsilon": NaN, "mode": "theoretical"}')
+    argv = ["--config", str(cfg), "identity", "--p", "211", "--e", "30", "--s", "5"]
+    assert run_main(argv) == (2, "")
+    assert capsys.readouterr().err == "config error: identity takes no config key 'epsilon'\n"
 
 
 def test_exit_codes():

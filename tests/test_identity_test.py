@@ -84,7 +84,7 @@ def test_choose_h_never_exceeds_cap():
                     assert 1 <= h <= p - 1
 
 
-def test_choose_h_caps_the_window_in_exponentiations():
+def test_choose_h_above_the_loop_cap_is_too_large():
     # theoretical unknown t at 2^61 - 1, e = (p - 1)/2 asks for 2(h + 1)
     # pows, above LOOP_CAP: TooLarge before any query. The known-t window
     # at that cell, 3h pows, runs
@@ -97,6 +97,30 @@ def test_choose_h_caps_the_window_in_exponentiations():
         it.test_unknown_t(o_s, o_t, policy)
     assert o_s.calls == o_t.calls == 0
     assert it.choose_h(ctx, params, "known_t", policy) == 262_144
+
+
+@pytest.mark.parametrize(
+    "variant, largest", [("known_t", 33_333_333), ("unknown_t", 49_999_999)]
+)
+def test_choose_h_caps_the_window_in_exponentiations(monkeypatch, variant, largest):
+    # known t costs 3h pows and unknown t 2(h + 1): the largest window under
+    # LOOP_CAP runs, one more probe is TooLarge. No cell's exact window sits
+    # at that edge, so the window counts are patched; choose_h alone, no query
+    ctx = fc.make_context(2**61 - 1)
+    params = fc.make_params(ctx, 1001)
+    policy = it.HPolicy(mode="exact")
+    try:
+        for h, ok in ((largest, True), (largest + 1, False)):
+            it.choose_h.cache_clear()
+            monkeypatch.setattr(it, "longest_coset_run", lambda c, q, h=h: h - 1)
+            monkeypatch.setattr(it, "exact_unknown_window", lambda p, e, h=h: h)
+            if ok:
+                assert it.choose_h(ctx, params, variant, policy) == h
+            else:
+                with pytest.raises(TooLarge, match=f"h={h} "):
+                    it.choose_h(ctx, params, variant, policy)
+    finally:
+        it.choose_h.cache_clear()
 
 
 def test_choose_h_range_violation():
@@ -183,6 +207,24 @@ def test_known_t_never_queries_forbidden_input():
                 for t in (0, 1, p - 1):
                     o = make(p, e, s, forbidden=frozenset({(-t) % p}))
                     it.test_known_t(o, t, it.HPolicy(mode="exact"))
+
+
+def test_soundness_monotone_in_h(monkeypatch):
+    # if h certifies all pairs, any larger window keeps certifying them
+    p, e = 29, 7
+    base = it.exact_unknown_window(p, e)
+    policy = it.HPolicy(mode="exact")
+    try:
+        for extra in (0, 1, 5):
+            h = min(base + extra, p - 1)
+            it.choose_h.cache_clear()
+            monkeypatch.setattr(it, "exact_unknown_window", lambda p, e, h=h: h)
+            for s in range(0, p, 3):
+                for t in range(0, p, 4):
+                    got = it.test_unknown_t(make(p, e, s), make(p, e, t), policy)
+                    assert got == (it.DISTINCT if s != t else it.EQUAL)
+    finally:
+        it.choose_h.cache_clear()
 
 
 def test_call_counts():
