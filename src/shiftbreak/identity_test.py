@@ -19,7 +19,14 @@ from dataclasses import dataclass
 
 from .bounds_lab import longest_coset_run
 from .errors import ConfigError, MismatchedParams, OutOfRange, RangeViolation, TooLarge
-from .field_core import LOOP_CAP, ExponentParams, PrimeContext, power_table
+from .field_core import (
+    LOOP_CAP,
+    ExponentParams,
+    PrimeContext,
+    make_context,
+    make_params,
+    power_table,
+)
 from .oracle import ShiftOracle
 
 EQUAL = "equal"
@@ -61,9 +68,7 @@ def exact_unknown_window(p: int, e: int) -> int:
 
 
 @functools.lru_cache(maxsize=4096)
-def choose_h(
-    ctx: PrimeContext, params: ExponentParams, variant: str, policy: HPolicy
-) -> int:
+def window(p: int, e: int, variant: str, mode: str) -> int:
     """Probe budget for the chosen variant and mode, at most p - 1;
     TooLarge, before any query, where its modular exponentiations pass
     LOOP_CAP.
@@ -76,15 +81,17 @@ def choose_h(
     t, neither of which overflows a float for p < 2^61.  A theoretical
     known-t window stays far under LOOP_CAP (p^0.3 < 322,738 probes), but
     unknown t at 2^61 - 1 and e = (p - 1)/2 asks for h = 2,714,722,608,904.
-    Computed once per (p, e, variant, mode) and cached; errors are raised
+    Computed once per (p, e, variant, mode) and cached on plain integers
+    and strings, so a warm test hashes no dataclass; errors are raised
     again on every call.
     """
-    p, e = ctx.p, params.e
     if e > (p - 1) // 2:
         raise RangeViolation(f"e={e} exceeds (p-1)/2")
-    if policy.mode == "exact":
+    if mode == "exact":
         if variant == "known_t":
-            h = longest_coset_run(ctx, params) + 1
+            # the key holds no context, so a miss rebuilds one
+            ctx = make_context(p)
+            h = longest_coset_run(ctx, make_params(ctx, e)) + 1
         else:
             h = exact_unknown_window(p, e)
     else:
@@ -103,16 +110,22 @@ def choose_h(
     return h
 
 
+def choose_h(
+    ctx: PrimeContext, params: ExponentParams, variant: str, policy: HPolicy
+) -> int:
+    """The cached window(p, e, variant, mode) of this context and policy."""
+    return window(ctx.p, params.e, variant, policy.mode)
+
+
 def test_known_t(
     oracle_s: ShiftOracle, t: int, policy: HPolicy = HPolicy()
 ) -> str:
     """Probe x = 1/y - t for y = 1..h; distinct on the first mismatch.
     OutOfRange unless 0 <= t < p, as the oracle checks s."""
-    ctx, params = oracle_s.ctx, oracle_s.params
-    p, e = ctx.p, params.e
+    p, e = oracle_s.p, oracle_s.e
     if not (0 <= t < p):
         raise OutOfRange(f"t={t} outside [0, {p})")
-    h = choose_h(ctx, params, "known_t", policy)
+    h = window(p, e, "known_t", policy.mode)
     query = oracle_s.query
     for y in range(1, h + 1):
         # x = inv - t, so the local value (x + t)^e is inv^e
@@ -126,13 +139,10 @@ def test_unknown_t(
     oracle_s: ShiftOracle, oracle_t: ShiftOracle, policy: HPolicy = HPolicy()
 ) -> str:
     """Probe both oracles at x = 0..h; distinct on the first disagreement."""
-    if (
-        oracle_s.ctx.p != oracle_t.ctx.p
-        or oracle_s.params.e != oracle_t.params.e
-    ):
+    p, e = oracle_s.p, oracle_s.e
+    if oracle_t.p != p or oracle_t.e != e:
         raise MismatchedParams("oracles disagree on (p, e)")
-    ctx, params = oracle_s.ctx, oracle_s.params
-    h = choose_h(ctx, params, "unknown_t", policy)
+    h = window(p, e, "unknown_t", policy.mode)
     query_s, query_t = oracle_s.query, oracle_t.query
     for x in range(h + 1):
         if query_s(x) != query_t(x):

@@ -111,7 +111,7 @@ def test_choose_h_caps_the_window_in_exponentiations(monkeypatch, variant, large
     policy = it.HPolicy(mode="exact")
     try:
         for h, ok in ((largest, True), (largest + 1, False)):
-            it.choose_h.cache_clear()
+            it.window.cache_clear()
             monkeypatch.setattr(it, "longest_coset_run", lambda c, q, h=h: h - 1)
             monkeypatch.setattr(it, "exact_unknown_window", lambda p, e, h=h: h)
             if ok:
@@ -120,7 +120,7 @@ def test_choose_h_caps_the_window_in_exponentiations(monkeypatch, variant, large
                 with pytest.raises(TooLarge, match=f"h={h} "):
                     it.choose_h(ctx, params, variant, policy)
     finally:
-        it.choose_h.cache_clear()
+        it.window.cache_clear()
 
 
 def test_choose_h_range_violation():
@@ -217,14 +217,14 @@ def test_soundness_monotone_in_h(monkeypatch):
     try:
         for extra in (0, 1, 5):
             h = min(base + extra, p - 1)
-            it.choose_h.cache_clear()
+            it.window.cache_clear()
             monkeypatch.setattr(it, "exact_unknown_window", lambda p, e, h=h: h)
             for s in range(0, p, 3):
                 for t in range(0, p, 4):
                     got = it.test_unknown_t(make(p, e, s), make(p, e, t), policy)
                     assert got == (it.DISTINCT if s != t else it.EQUAL)
     finally:
-        it.choose_h.cache_clear()
+        it.window.cache_clear()
 
 
 def test_call_counts():
@@ -277,7 +277,7 @@ def test_equal_pairs_make_exactly_the_window_calls():
 
 
 def test_choose_h_same_window_cold_and_warm():
-    caches = [it.choose_h, it.exact_unknown_window, bl.longest_coset_run]
+    caches = [it.window, it.exact_unknown_window, bl.longest_coset_run]
     cells = [(13, 3), (29, 7), (61, 12), (1009, 36)]
 
     def windows():
@@ -300,12 +300,44 @@ def test_choose_h_same_window_cold_and_warm():
 
     clear()
     cold = windows()
-    misses = it.choose_h.cache_info().misses
+    misses = it.window.cache_info().misses
     warm = windows()
     # the contexts are rebuilt, but equal ones find the cached window
-    assert it.choose_h.cache_info().misses == misses
+    assert it.window.cache_info().misses == misses
     clear()
     assert cold == warm == windows()
+
+
+def test_warm_testers_compute_no_window(monkeypatch):
+    # once each (p, e, variant, mode) is cached, tests on rebuilt, equal
+    # contexts read their window off the cache: no window count runs, and
+    # no context is rebuilt
+    cells = [(13, 3), (29, 7), (61, 12)]
+    modes = ("exact", "theoretical")
+    it.window.cache_clear()
+    for p, e in cells:
+        for mode in modes:
+            policy = it.HPolicy(mode=mode)
+            it.test_known_t(make(p, e, 0, forbidden=frozenset({0})), 0, policy)
+            it.test_unknown_t(make(p, e, 0), make(p, e, 0), policy)
+
+    def refuse(*args):
+        raise AssertionError(f"window computed again from {args}")
+
+    for name in ("exact_unknown_window", "longest_coset_run", "make_context"):
+        monkeypatch.setattr(it, name, refuse)
+    for p, e in cells:
+        for mode in modes:
+            policy = it.HPolicy(mode=mode)
+            for s, t in ((1, 1), (1, 2)):
+                want = it.EQUAL if s == t else it.DISTINCT
+                o = make(p, e, s, forbidden=frozenset({(-t) % p}))
+                assert it.test_known_t(o, t, policy) == want
+                o_s, o_t = make(p, e, s), make(p, e, t)
+                assert it.test_unknown_t(o_s, o_t, policy) == want
+                if s == t:
+                    assert o.calls == it.window(p, e, "known_t", mode)
+                    assert o_s.calls == it.window(p, e, "unknown_t", mode) + 1
 
 
 def test_choose_h_raises_again_on_an_identical_call():

@@ -30,6 +30,19 @@ def test_forbidden_input_rejected_and_not_counted():
     assert o.calls == 2
 
 
+@pytest.mark.parametrize("forbidden", [{22}, [9 + 13]], ids=["set", "list"])
+def test_unreduced_forbidden_input_is_reduced(forbidden):
+    # 22 = 9 mod 13, and so is -4: every spelling of 9 is rejected uncounted
+    o = make(forbidden=forbidden)
+    assert o.forbidden == {9}
+    for x in (9, -4, 22):
+        with pytest.raises(ForbiddenInput):
+            o.query(x)
+    assert o.calls == 0
+    o.query(1)
+    assert o.calls == 1
+
+
 def test_out_of_range_secret():
     with pytest.raises(OutOfRange):
         make(s=13)
