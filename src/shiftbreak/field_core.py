@@ -2,7 +2,9 @@
 
 Everything here is pure and immutable after construction.  A context factors
 p - 1 by trial division below 2^10 and Pollard-Brent rho beyond it: about
-(p - 1)^(1/4) steps at most, tens of milliseconds for any p < 2^61.  The
+(p - 1)^(1/4) steps at most, tens of milliseconds for any p < 2^61.  Contexts
+are cached per process (CONTEXT_CACHE of them, errors not cached), so that
+cost is paid once per p, and exponent params read e's factors off p - 1.  The
 characters trivial on G_e read ind(x) mod d off x^e in a d-entry index
 table, so they run for every p < 2^61 with d up to EXHAUSTIVE_CAP.  The
 dense power table is O(p) and serves only the routine that enumerates the
@@ -29,6 +31,8 @@ EXHAUSTIVE_CAP = 10**6
 # Largest number of steps for the loops whose cost is a stated product: the
 # lab's boxes, the exhaustive identity window and a narrowing window's pows.
 LOOP_CAP = 10**8
+# Contexts kept by make_context's cache: about 500 bytes each, 2 MB full.
+CONTEXT_CACHE = 4096
 
 # Witness set valid for deterministic Miller-Rabin below 2^64.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -153,7 +157,11 @@ class ExponentParams:
         return hash((self.e, self.d))
 
 
+@functools.lru_cache(maxsize=CONTEXT_CACHE)
 def make_context(p: int) -> PrimeContext:
+    """The context of the prime p: p - 1 factored and its least primitive
+    root.  Cached on p, so a repeated p costs a lookup; Overflow outside
+    [3, 2^61) and NotPrime for a composite are raised again on every call."""
     if not (3 <= p < MAX_P):
         raise Overflow(f"p={p} outside [3, 2^61)")
     if not is_prime(p):
@@ -171,9 +179,23 @@ def _least_primitive_root(p: int, factors: tuple[tuple[int, int], ...]) -> int:
 
 
 def make_params(ctx: PrimeContext, e: int) -> ExponentParams:
+    """The params of an e dividing p - 1; NotDividing otherwise.  e's
+    factors are read off the context's factored p - 1 by dividing e by each
+    of its primes in turn, so e itself is never factored."""
     if e < 1 or (ctx.p - 1) % e != 0:
         raise NotDividing(f"e={e} does not divide p-1={ctx.p - 1}")
-    return ExponentParams(e=e, d=(ctx.p - 1) // e, e_factors=factorize(e))
+    e_factors = []
+    m = e
+    for ell, _ in ctx.group_order_factors:
+        k = 0
+        while m % ell == 0:
+            m //= ell
+            k += 1
+        if k:
+            e_factors.append((ell, k))
+            if m == 1:
+                break
+    return ExponentParams(e=e, d=(ctx.p - 1) // e, e_factors=tuple(e_factors))
 
 
 def coset_walk(x: int, h: int, size: int, p: int):

@@ -89,7 +89,7 @@ def window(p: int, e: int, variant: str, mode: str) -> int:
         raise RangeViolation(f"e={e} exceeds (p-1)/2")
     if mode == "exact":
         if variant == "known_t":
-            # the key holds no context, so a miss rebuilds one
+            # the key holds no context: make_context's cache supplies it
             ctx = make_context(p)
             h = longest_coset_run(ctx, make_params(ctx, e)) + 1
         else:

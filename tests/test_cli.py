@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from shiftbreak import cli
+from shiftbreak import identity_test as it
 from shiftbreak import shift_recovery as sr
 
 
@@ -606,6 +607,27 @@ def test_bench_builds_context_once_per_cell(monkeypatch):
     assert calls == [211]
 
 
+def test_identity_factors_p_minus_1_once(monkeypatch):
+    # run_identity and the cold exact known-t window share one cached
+    # context, and e's factors are read off p - 1: p - 1 is the only number
+    # factored
+    cli.fc.make_context.cache_clear()
+    it.window.cache_clear()
+    calls = []
+    factorize = cli.fc.factorize
+
+    def counting(n):
+        calls.append(n)
+        return factorize(n)
+
+    monkeypatch.setattr(cli.fc, "factorize", counting)
+    argv = ["identity", "--p", str(RHO_PRIME), "--e", "2", "--s", "5", "--t", "5"]
+    code, out = run_main(argv)
+    assert code == 0
+    assert json.loads(out)["verdict"] == "equal"
+    assert calls == [RHO_PRIME - 1]
+
+
 def test_console_script_installed():
     out = subprocess.run(
         [sys.executable, "-m", "shiftbreak.cli", "recover", "--p", "13", "--e", "3", "--s", "5"],
@@ -690,6 +712,7 @@ SWEEP_CELLS = (
     [(3, 1), (3, 2)]
     + [(p, e) for p in SAFE_PRIMES for e in (2, (p - 1) // 2)]
     + [(2**61 - 1, (2**61 - 2) // 2), (RHO_PRIME, 2), (RHO_PRIME, 527608327)]
+    + [(RHO_PRIME, (RHO_PRIME - 1) // 2)]
     + [(100003, 50001), (10000019, 5000009)]
 )
 

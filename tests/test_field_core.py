@@ -11,7 +11,8 @@ from shiftbreak import bounds_lab as bl
 from shiftbreak import field_core as fc
 from shiftbreak.errors import NotPrime, Overflow, TooLarge
 
-from reference import divisors, naive_index
+from reference import divisors, naive_index, primes_below
+from test_cli import RHO_PRIME, SWEEP_CELLS
 
 SMALL_PRIMES = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53]
 
@@ -59,15 +60,51 @@ def test_make_context_3():
 
 
 def test_make_context_rejects_composite():
-    with pytest.raises(NotPrime):
-        fc.make_context(15)
+    # errors are not cached: the second call checks p again
+    for _ in range(2):
+        with pytest.raises(NotPrime):
+            fc.make_context(15)
 
 
 def test_make_context_rejects_out_of_range():
-    with pytest.raises(Overflow):
-        fc.make_context(2)
-    with pytest.raises(Overflow):
-        fc.make_context(2**61 + 15)
+    for _ in range(2):
+        with pytest.raises(Overflow):
+            fc.make_context(2)
+        with pytest.raises(Overflow):
+            fc.make_context(2**61 + 15)
+
+
+def test_make_context_returns_the_cached_context():
+    assert fc.make_context(1009) is fc.make_context(1009)
+
+
+def test_make_context_answers_equal_after_cache_clear():
+    primes = (3, 13, 1009, 2**61 - 1, RHO_PRIME)
+    warm = [fc.make_context(p) for p in primes]
+    fc.make_context.cache_clear()
+    cold = [fc.make_context(p) for p in primes]
+    assert cold == warm
+    assert all(a is not b for a, b in zip(cold, warm))
+
+
+def test_make_params_e_factors_match_factorize_below_300():
+    for p in primes_below(300):
+        ctx = fc.make_context(p)
+        for e in divisors(p - 1):
+            assert fc.make_params(ctx, e).e_factors == fc.factorize(e), (p, e)
+
+
+@pytest.mark.parametrize(
+    "p, e",
+    [
+        pytest.param(p, e, id=f"{p}-{e}")
+        for p in dict.fromkeys(p for p, _ in SWEEP_CELLS)
+        for e in dict.fromkeys((2, (p - 1) // 2))
+    ],
+)
+def test_make_params_e_factors_match_factorize_on_sweep_primes(p, e):
+    # e = (p - 1)/2 at the rho prime is the product of two 30-bit primes
+    assert fc.make_params(fc.make_context(p), e).e_factors == fc.factorize(e)
 
 
 def test_least_primitive_root_matches_brute_force():

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 
 import pytest
@@ -355,7 +356,9 @@ def test_choose_h_raises_again_on_an_identical_call():
 
 
 def test_equal_contexts_hash_equal_and_share_cache_entries():
-    a, b = fc.make_context(1009), fc.make_context(1009)
+    # make_context caches its contexts, so the second one is a copy
+    a = fc.make_context(1009)
+    b = dataclasses.replace(a)
     assert a is not b and a == b and hash(a) == hash(b)
     pa, pb = fc.make_params(a, 36), fc.make_params(b, 36)
     assert pa is not pb and pa == pb and hash(pa) == hash(pb)
