@@ -123,7 +123,17 @@ def multiplicative_energy_count(p: int, a: int, H: int) -> int:
 def subgroup_shift_intersection(
     ctx: PrimeContext, params: ExponentParams, shifts
 ) -> int:
-    """|G_e intersect (lambda_1 G_e + mu_1) ... (lambda_m G_e + mu_m)|."""
+    """|G_e intersect (lambda_1 G_e + mu_1) ... (lambda_m G_e + mu_m)|.
+
+    Cost: (m + 1)*e set inserts for m shifts.  TooLarge above
+    e = EXHAUSTIVE_CAP, and where (m + 1)*e passes LOOP_CAP, before G_e is
+    listed.
+    """
+    shifts = list(shifts)
+    inserts = (len(shifts) + 1) * params.e
+    # above EXHAUSTIVE_CAP, subgroup_elements raises its own TooLarge
+    if params.e <= EXHAUSTIVE_CAP and inserts > LOOP_CAP:
+        raise TooLarge(f"(m + 1)*e = {inserts} set inserts above loop cap")
     sub = subgroup_elements(ctx, params)
     inter = set(sub)
     p = ctx.p

@@ -8,12 +8,15 @@ Probe-window sizes come either from the paper's closed-form exponents at
 the fixed EPSILON (theoretical mode) or from exact counts (exact mode,
 soundness guaranteed): the longest coset run for known t, and an exhaustive
 pair scan, capped at p = 10^4, for unknown t.  Every window is capped at
-p - 1.
+p - 1.  A known-t probe's offset 1/y and local value (1/y)^e depend on
+(p, e, y) alone, so the first PLAN_CAP of them are cached per window
+(known_t_plan) and a warm known-t test computes only its oracle calls.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -33,6 +36,9 @@ EQUAL = "equal"
 DISTINCT = "distinct"
 # The epsilon of the theoretical windows' closed forms.
 EPSILON = 0.05
+# Known-t probes held per (p, e, h) by known_t_plan, and the entries kept.
+PLAN_CAP = 1024
+PLAN_CACHE = 64
 
 
 @dataclass(frozen=True)
@@ -75,7 +81,10 @@ def window(p: int, e: int, variant: str, mode: str) -> int:
 
     A known-t probe costs three (an inverse, the local power and the
     oracle's), so h probes cost 3h; the unknown-t window probes x = 0..h at
-    two each (one per oracle), 2(h + 1).  Theoretical windows read the
+    two each (one per oracle), 2(h + 1).  The first known-t test on a window
+    pays all 3h; known_t_plan keeps the inverses and local powers of up to
+    PLAN_CAP probes, so a warm test with h <= PLAN_CAP pays its h oracle
+    calls plus two cache lookups.  Theoretical windows read the
     closed forms at EPSILON: min(e, p)^(1/4 + eps) for known t, and
     min(max(e^(1/2) p^eps, e^2 p^(eps - 1)), p^(1/2) log(p)^2) for unknown
     t, neither of which overflows a float for p < 2^61.  A theoretical
@@ -110,6 +119,26 @@ def window(p: int, e: int, variant: str, mode: str) -> int:
     return h
 
 
+def _probe_values(p: int, e: int, ys: range):
+    """Yield (1/y, (1/y)^e) for each known-t probe y in ys, 0 < y < p."""
+    for y in ys:
+        inv = pow(y, -1, p)
+        yield inv, pow(inv, e, p)
+
+
+@functools.lru_cache(maxsize=PLAN_CACHE)
+def known_t_plan(p: int, e: int, h: int) -> tuple[tuple[int, int], ...]:
+    """The (1/y, (1/y)^e) pairs of the known-t probes y = 1..h, h < p.
+
+    They depend on (p, e, y) alone, so every known-t test on (p, e) shares
+    them: exact and theoretical windows of equal h share one entry.
+    test_known_t asks for at most PLAN_CAP probes and computes any past
+    that as it goes.  Memory: about 136 bytes a probe at 61-bit p, so
+    139 KB an entry and 9 MB with all PLAN_CACHE entries full.
+    """
+    return tuple(_probe_values(p, e, range(1, h + 1)))
+
+
 def choose_h(
     ctx: PrimeContext, params: ExponentParams, variant: str, policy: HPolicy
 ) -> int:
@@ -127,10 +156,13 @@ def test_known_t(
         raise OutOfRange(f"t={t} outside [0, {p})")
     h = window(p, e, "known_t", policy.mode)
     query = oracle_s.query
-    for y in range(1, h + 1):
-        # x = inv - t, so the local value (x + t)^e is inv^e
-        inv = pow(y, -1, p)
-        if query(inv - t) != pow(inv, e, p):
+    probes = known_t_plan(p, e, min(h, PLAN_CAP))
+    if h > PLAN_CAP:
+        tail = _probe_values(p, e, range(PLAN_CAP + 1, h + 1))
+        probes = itertools.chain(probes, tail)
+    # x = inv - t, so the local value (x + t)^e is inv^e
+    for inv, local in probes:
+        if query(inv - t) != local:
             return DISTINCT
     return EQUAL
 

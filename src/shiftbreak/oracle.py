@@ -55,7 +55,7 @@ def new_oracle(
 ) -> ShiftOracle:
     """A pass-through to ShiftOracle, kept because perfbench/workloads.py
     builds its oracles here and perfbench/tracer.py hooks it by name to sum
-    their calls (ROADMAP item 8)."""
+    their calls (ROADMAP item 15)."""
     return ShiftOracle(ctx, params, s, forbidden)
 
 

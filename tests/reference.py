@@ -4,6 +4,7 @@ import itertools
 import math
 
 from shiftbreak import field_core as fc
+from shiftbreak.shift_recovery import calls_bound
 
 
 def divisors(n):
@@ -53,3 +54,67 @@ def naive_J(p, nu, lam, s, h):
         for xs in itertools.product(range(1, h + 1), repeat=nu)
         if math.prod((x + s) % p for x in xs) % p == lam % p
     )
+
+
+def known_t_reference(oracle, t, h):
+    """The known-t tester's per-probe loop: probe x = 1/y - t for y = 1..h,
+    computing the inverse and the local power (1/y)^e on every probe."""
+    p, e = oracle.p, oracle.e
+    for y in range(1, h + 1):
+        inv = pow(y, -1, p)
+        if oracle.query(inv - t) != pow(inv, e, p):
+            return "distinct"
+    return "equal"
+
+
+def optimal_worst_calls(p, e):
+    """Least worst-case oracle calls, over every s, of any adaptive strategy
+    that queries one point at a time and always finds s.
+
+    The first query is x = 0 (translating s moves any first query there).
+    Its answer 0 leaves s = 0; any other answer leaves a coset s0*G_e, and
+    dilating x by s0 maps the search on G_e to the search on s0*G_e, so the
+    worst case is 1 + opt(G_e).  opt(S) = 0 at |S| = 1, and otherwise 1 plus
+    the least, over points x that split S, of the largest opt over the
+    answer classes of x.  Memoised on the candidate tuple; a branch stops
+    once it reaches the best found so far, and the scan over x stops at the
+    counting bound `calls_bound(|S|, d)`.
+    """
+    d = (p - 1) // e
+    exact = {}
+    at_least = {}
+
+    def solve(S, cap):
+        # opt(S) if it is below cap, else some value >= cap
+        if len(S) == 1:
+            return 0
+        if S in exact:
+            return exact[S]
+        floor = max(calls_bound(len(S), d), at_least.get(S, 0))
+        if floor >= cap:
+            return floor
+        best = cap
+        for x in range(p):
+            classes = {}
+            for t in S:
+                classes.setdefault(pow(x + t, e, p), []).append(t)
+            if len(classes) == 1:
+                continue
+            worst = 0
+            for c in sorted(classes.values(), key=len, reverse=True):
+                worst = max(worst, 1 + solve(tuple(c), best - 1))
+                if worst >= best:
+                    break
+            else:
+                best = worst
+                if best == floor:
+                    break
+        if best < cap:
+            exact[S] = best
+        else:
+            at_least[S] = cap
+        return best
+
+    G = tuple(sorted(x for x in range(1, p) if pow(x, e, p) == 1))
+    return 1 + solve(G, len(G))
+

@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -222,6 +223,24 @@ def test_intersection_matches_naive_random():
         for lam, mu in shifts:
             expect &= {(lam * g + mu) % p for g in sub}
         assert bl.subgroup_shift_intersection(ctx, params, shifts) == len(expect)
+
+
+def test_intersection_caps_its_set_inserts_before_listing_the_subgroup(monkeypatch):
+    # (m + 1)*e inserts: 201 * 500001 passes LOOP_CAP, so TooLarge at once
+    # where listing G_e and 200 shifted copies would take about 30 s
+    ctx, params = ctx_params(1000003, 500001)
+    shifts = [(1, mu) for mu in range(1, 201)]
+    start = time.perf_counter()
+    with pytest.raises(TooLarge, match="100500201 set inserts above loop cap"):
+        bl.subgroup_shift_intersection(ctx, params, shifts)
+    assert time.perf_counter() - start < 1.0
+    # the edge, with the cap patched down: (m + 1)*e = LOOP_CAP runs, one
+    # more shift is TooLarge
+    monkeypatch.setattr(bl, "LOOP_CAP", 9)
+    small = ctx_params(13, 3)
+    assert bl.subgroup_shift_intersection(*small, [(1, 2), (1, 2)]) == 1
+    with pytest.raises(TooLarge, match="12 set inserts"):
+        bl.subgroup_shift_intersection(*small, [(1, 2)] * 3)
 
 
 # --- product_count_J ---

@@ -127,6 +127,12 @@ def test_lab_inline_and_grid(tmp_path):
         # H^2 steps for energy, H for hyperbola, above LOOP_CAP
         ("energy", {"p": 1000003, "a": 0, "H": 200000}),
         ("hyperbola", {"p": 13, "u": 0, "v": 1, "H": 10**8 + 1}),
+        # (m + 1)*e = 201 * 500001 set inserts for 200 shifts, above LOOP_CAP
+        pytest.param(
+            "subgroup_shift",
+            {"p": 1000003, "e": 500001, "shifts": [[1, mu] for mu in range(1, 201)]},
+            id="subgroup_shift-200-shifts",
+        ),
     ],
 )
 def test_lab_cell_above_a_cap_is_a_skipped_row(tmp_path, lemma, cell):

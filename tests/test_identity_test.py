@@ -15,7 +15,7 @@ from shiftbreak.errors import (
 )
 from shiftbreak.oracle import new_oracle
 
-from reference import divisors, primes_below
+from reference import divisors, known_t_reference, primes_below
 
 
 def make(p, e, s, forbidden=frozenset()):
@@ -381,3 +381,115 @@ def test_params_with_the_same_e_at_different_p_are_unequal():
     assert it.choose_h(large, p1009, "known_t", policy) == bl.longest_coset_run(
         large, p1009
     ) + 1
+
+
+def recording(oracle):
+    """Wrap oracle.query so that every point it is asked is appended to the
+    returned list."""
+    points = []
+    query = oracle.query
+
+    def record(x):
+        points.append(x)
+        return query(x)
+
+    oracle.query = record
+    return points
+
+
+def assert_known_t_matches_reference(p, e, mode, pairs):
+    # same verdict, same calls, same queried points as the per-probe loop
+    policy = it.HPolicy(mode=mode)
+    h = it.window(p, e, "known_t", mode)
+    for s, t in pairs:
+        forbidden = frozenset({(-t) % p})
+        o, ref = make(p, e, s, forbidden), make(p, e, s, forbidden)
+        got_points, want_points = recording(o), recording(ref)
+        got = it.test_known_t(o, t, policy)
+        assert got == known_t_reference(ref, t, h), (p, e, mode, s, t)
+        assert o.calls == ref.calls and got_points == want_points, (p, e, mode, s, t)
+
+
+def small_cells():
+    for p in primes_below(60):
+        for e in divisors(p - 1):
+            if e <= (p - 1) // 2:
+                yield p, e
+
+
+@pytest.mark.parametrize(
+    "plan_cap",
+    [
+        pytest.param(None, id="cached-plan"),
+        # a cap of 2 with windows 3 probes above it: the tail runs at p < 60
+        pytest.param(2, id="tail-past-a-cap-of-2"),
+    ],
+)
+def test_known_t_plan_matches_the_per_probe_reference(monkeypatch, plan_cap):
+    if plan_cap is not None:
+        monkeypatch.setattr(it, "PLAN_CAP", plan_cap)
+        monkeypatch.setattr(it, "window", lambda p, e, v, m: min(plan_cap + 3, p - 1))
+    it.known_t_plan.cache_clear()
+    for p, e in small_cells():
+        pairs = [(s, t) for t in (0, 1, p // 2, p - 1) for s in range(p)]
+        for mode in ("exact", "theoretical"):
+            assert_known_t_matches_reference(p, e, mode, pairs)
+
+
+def test_known_t_tail_past_the_plan_cap_matches_the_reference(monkeypatch):
+    # windows of PLAN_CAP + 3 probes at p just above the cap: the cached
+    # plan, then three probes computed as they go
+    h = it.PLAN_CAP + 3
+    monkeypatch.setattr(it, "window", lambda p, e, variant, mode: h)
+    for p in (1031, 1033):
+        assert p - 1 >= h
+        for e in divisors(p - 1):
+            if e > (p - 1) // 2:
+                continue
+            pairs = [(7, 7), (p - 1, p - 1), (0, 1), (5, p - 5)]
+            for mode in ("exact", "theoretical"):
+                assert_known_t_matches_reference(p, e, mode, pairs)
+
+
+def test_warm_known_t_reads_its_plan_off_the_cache(monkeypatch):
+    # one entry per (p, e, h): the first test builds it, every later test
+    # on the cell (either mode, as both windows are 3 here) only hits it
+    p, e = 67, 11
+    assert it.window(p, e, "known_t", "exact") == it.window(p, e, "known_t", "theoretical")
+    it.known_t_plan.cache_clear()
+    it.test_known_t(make(p, e, 3, frozenset({(-3) % p})), 3, it.HPolicy(mode="exact"))
+    cold = it.known_t_plan.cache_info()
+    assert (cold.misses, cold.currsize) == (1, 1)
+
+    def refuse(*args):
+        raise AssertionError(f"pow{args} called on a warm test")
+
+    monkeypatch.setattr(it, "pow", refuse, raising=False)
+    for mode in ("exact", "theoretical"):
+        for s, t in ((3, 3), (4, 3), (0, 66)):
+            o = make(p, e, s, frozenset({(-t) % p}))
+            assert it.test_known_t(o, t, it.HPolicy(mode=mode)) == (
+                it.EQUAL if s == t else it.DISTINCT
+            )
+    warm = it.known_t_plan.cache_info()
+    assert warm.hits == cold.hits + 6
+    assert (warm.misses, warm.currsize) == (cold.misses, cold.currsize)
+
+
+def test_known_t_plan_stops_at_the_cap_on_the_largest_window(monkeypatch):
+    # theoretical known t at 2^61 - 1, e = (p - 1)/2 has h = 262,144: the
+    # plan holds PLAN_CAP probes, not h; a distinct pair stops at once
+    p = 2**61 - 1
+    e = (p - 1) // 2
+    asked = []
+    plan = it.known_t_plan
+
+    def spy(p, e, h):
+        asked.append(h)
+        return plan(p, e, h)
+
+    monkeypatch.setattr(it, "known_t_plan", spy)
+    o = make(p, e, 5, frozenset({(-6) % p}))
+    assert it.test_known_t(o, 6, it.HPolicy(mode="theoretical")) == it.DISTINCT
+    assert asked == [it.PLAN_CAP] and o.calls == 1
+    assert len(plan(p, e, it.PLAN_CAP)) == it.PLAN_CAP

@@ -14,7 +14,7 @@ from shiftbreak.errors import ConfigError, ForbiddenInput, Stalled, TooLarge
 from shiftbreak.oracle import ShiftOracle, new_oracle
 from shiftbreak.root_solver import full_witness_set
 
-from reference import divisors
+from reference import divisors, optimal_worst_calls, primes_below
 
 PRIMES = [5, 7, 11, 13, 17, 19, 23, 29, 31, 41, 61]
 
@@ -790,3 +790,60 @@ def test_resolve_small_stalls_on_two_untestable_candidates():
     o = new_oracle(ctx, params, 2, frozenset({7, 8}))
     assert sr.recover_zero_call_narrow(o) == 2  # x = 11 answers 0
     assert o.calls == 2
+
+
+def test_optimal_worst_calls_matches_a_plain_minimax():
+    # the plain recursion from x = 0, with no dilation and no pruning, over
+    # every e with d >= 2 at p < 32
+    def plain(p, e):
+        memo = {}
+
+        def opt(S):
+            if len(S) == 1:
+                return 0
+            if S not in memo:
+                best = len(S)
+                for x in range(p):
+                    classes = {}
+                    for t in S:
+                        classes.setdefault(pow(x + t, e, p), []).append(t)
+                    if len(classes) > 1:
+                        best = min(best, 1 + max(opt(tuple(c)) for c in classes.values()))
+                memo[S] = best
+            return memo[S]
+
+        seed = {}
+        for t in range(p):
+            seed.setdefault(pow(t, e, p), []).append(t)
+        return 1 + max(opt(tuple(c)) for c in seed.values())
+
+    for p in primes_below(32):
+        for e in divisors(p - 1):
+            if (p - 1) // e >= 2:
+                assert optimal_worst_calls(p, e) == plain(p, e), (p, e)
+
+
+def test_deterministic_worst_case_is_at_least_the_optimum():
+    # on every d >= 2 cell with p < 100, no algorithm's worst case over s
+    # beats the exact minimax optimum; the summed gaps are reported
+    algorithms = ("zero_call_narrow", "smooth_narrow", "large_e")
+    summed = dict.fromkeys(algorithms + ("optimum",), 0)
+    for p in primes_below(100):
+        ctx = fc.make_context(p)
+        for e in divisors(p - 1):
+            params = fc.make_params(ctx, e)
+            if params.d < 2:
+                continue
+            optimum = optimal_worst_calls(p, e)
+            assert optimum >= sr.calls_bound(p, params.d), (p, e)
+            summed["optimum"] += optimum
+            for algorithm in algorithms:
+                worst = 0
+                for s in range(p):
+                    o = ShiftOracle(ctx, params, s)
+                    assert sr.recover(o, algorithm) == s, (algorithm, p, e, s)
+                    worst = max(worst, o.calls)
+                assert worst >= optimum, (algorithm, p, e, worst, optimum)
+                summed[algorithm] += worst
+    gaps = ", ".join(f"{a} +{summed[a] - summed['optimum']}" for a in algorithms)
+    print(f"summed worst case, d >= 2, p < 100: optimum {summed['optimum']}; {gaps}")
