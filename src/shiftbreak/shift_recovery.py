@@ -8,7 +8,8 @@ Strategies, all honest oracle clients:
  - large-e variant (m consecutive calls solved as one system, then narrowing)
 
 Every seed is `consecutive_roots` on the answers at consecutive points
-(`_seed_candidates`); a zero answer at x ends the queries, leaving -x.
+(`_seed_candidates`); an answer that leaves one candidate ends the queries:
+a zero answer at x leaves -x, and at e = 1 any answer does.
 
 `recover` runs any of them by name, through the `ALGORITHMS` table.  A
 candidate set is a sorted tuple of shifts.  Every probe loop queries the
@@ -17,16 +18,19 @@ known t, and recovery with an oracle that forbids a probe it needs raises the
 oracle's ForbiddenInput.  No call is made at a point where every candidate
 left predicts the same answer, so no recovery queries a point twice.
 
-Narrowing picks each probe by one statistic, r: the size of the largest
-class of candidates that predict the same answer pair at x and zeta*x.  On a
+Narrowing has one rule: each round queries the point x whose largest class
+of candidates predicting the same answer (t + x)^e is smallest, keeps the
+class that holds the answer, and rounds repeat until one candidate is left.
+That is adaptive search with (d + 1)-ary answers, one call per round.  On a
 whole zero-call coset S = t0*G_e (the first round of zero-call narrowing)
-probes x and x*w, w in G_e, give S the same answer pairs and so the same r,
-and a round evaluates only the first probe of each coset of G_e.  A window
-segment costs at most 2|S| exponentiations per probe.
+points x and x*w, w in G_e, give S the same classes, and a round evaluates
+only the first point of each coset of G_e.  A window segment costs |S|
+exponentiations per point.
 
-A trace is a plain list: ("r", probe, size before, size after) per narrowing
-round, ("random", x, None, size after) per randomized draw, and ("scan", m,
-p, size after) for the large-e scan, also when a zero answer ended it.
+A trace is a plain list: ("narrow", x, size before, size after) per
+narrowing round, ("random", x, None, size after) per randomized draw, and
+("scan", m, p, size after) for the large-e scan, also when a zero answer
+ended it.
 """
 
 from __future__ import annotations
@@ -48,7 +52,6 @@ from .root_solver import (
     full_witness_set,
 )
 
-FINAL_SET_THRESHOLD = 4  # resolve by x = -t queries at or below this size
 STALL_FACTOR = 2  # a probe window that certifies no shrinkage grows by this
 
 
@@ -126,26 +129,20 @@ def initial_candidates_smooth(
     return cands, wits
 
 
-def _zeta(ctx: PrimeContext) -> int:
-    return pow(math.isqrt(ctx.p), -1, ctx.p)
-
-
-def _probe_keys(p: int, e: int, S, x: int, zx: int) -> list[int]:
-    """The answer pair ((t+x)^e, (t+zx)^e) each t in S predicts at the
-    probe, packed into one integer: (answer at x) * p + (answer at zx)."""
-    return [pow(t + x, e, p) * p + pow(t + zx, e, p) for t in S]
-
-
-def _stat_r(keys) -> int:
-    return max(collections.Counter(keys).values()) if keys else 0
+def _predictions(p: int, e: int, S, x: int) -> list[int]:
+    """The answer (t + x)^e each candidate t in S predicts at x."""
+    return [pow(t + x, e, p) for t in S]
 
 
 def collision_stat_r(
     ctx: PrimeContext, params: ExponentParams, S, x: int
 ) -> int:
-    """Max multiplicity of the pair ((t+x)^e, (t+zeta*x)^e) over t in S."""
-    p = ctx.p
-    return _stat_r(_probe_keys(p, params.e, S, x, _zeta(ctx) * x % p))
+    """Max multiplicity of the pair ((t+x)^e, (t+zeta*x)^e) over t in S,
+    zeta = 1/isqrt(p).  Narrowing no longer uses it; kept as a reference."""
+    p, e = ctx.p, params.e
+    zx = pow(math.isqrt(p), -1, p) * x % p
+    pairs = collections.Counter((pow(t + x, e, p), pow(t + zx, e, p)) for t in S)
+    return max(pairs.values(), default=0)
 
 
 def collision_stat_R(
@@ -155,8 +152,7 @@ def collision_stat_R(
 
     Equivalent to sum of c*(c-1) over fibers of t -> (x+t)^e, excluding the
     zero fiber (pairs with x+s2 = 0 are excluded, and x+s1 = 0 gives ratio 0).
-    Narrowing picks its probes by collision_stat_r alone; this statistic is
-    kept as a reference.
+    Narrowing does not use it; kept as a reference.
     """
     p, e = ctx.p, params.e
     counts = collections.Counter(pow(t + x, e, p) for t in S)
@@ -170,76 +166,71 @@ def narrow_candidates(
     trace: list | None = None,
     agreed: set[int] | None = None,
 ) -> tuple[int, ...]:
-    """One narrowing round: scan a probe window, query, filter.
+    """One narrowing round: query the point whose largest answer class is
+    smallest, and keep the candidates that predicted the answer.
 
-    The probe is the smallest x minimizing the r-statistic, the size of the
-    largest class of predicted answer pairs at x and zeta*x; the window
-    doubles while no probe certifies strict shrinkage (r < |S|).  The chosen
-    probe's predicted pairs are kept from the scan and filter the set, so no
-    power is computed twice.  A window segment costs at most 2|S| pow calls
-    per probe; TooLarge before a segment whose bound, counted over every
-    probe in it, passes LOOP_CAP.
+    A point's classes group S by the answer (t + x)^e each member predicts.
+    The scan runs over a window of points from x = 0 that doubles while no
+    point splits S, and ties go to the smallest x.  An answer is 0 or one
+    of the d-th roots of unity, and only t = -x predicts 0, so no class is
+    below ceil((|S| - 1)/d): the scan stops at the first point reaching it.
+    A window segment costs |S| pow calls per point; TooLarge before a
+    segment whose bound, counted over every point in it, passes LOOP_CAP.
 
     `agreed` holds points at which every member of S is known to predict the
-    same answer.  A probe with x and zeta*x both there has r = |S| and can
-    never be chosen, so it is skipped without computing a power.  Both of
-    the chosen probe's points go through `_answer` and into `agreed`: the
-    kept candidates agree there.
+    same answer: such a point is one class and never splits S, so it is
+    skipped.  The queried point is added to it.
 
     With 0 in `agreed` and |S| = e, every member solves t^e = A, which has
     at most e roots, so S is all of them and S = S*w for each w in G_e.
-    Then t -> t*w maps the pairs at x onto those at x*w, since
-    ((t*w + x*w)^e, (t*w + zeta*x*w)^e) = ((t + x)^e, (t + zeta*x)^e): both
-    probes have the same r.  Only the first probe of each coset x*G_e, keyed
-    by x^e, is evaluated, so the chosen probe, the kept set and the calls
-    are those of a full scan.
+    Then t -> t*w maps the predictions at x onto those at x*w, since
+    (t*w + x*w)^e = (t + x)^e: both points have the same classes.  Only the
+    first point of each coset x*G_e, keyed by x^e, is evaluated, so the
+    chosen point, the kept set and the calls are those of a full scan.
     """
     ctx, params = oracle.ctx, oracle.params
     p, e = ctx.p, params.e
     cap = p - 1
     size = len(S)
+    least = -(-(size - 1) // params.d)
     h = min(max(policy.initial_window, 1), cap)
-    zeta = _zeta(ctx)
     if agreed is None:
         agreed = set()
     # 0 agreed and |S| = e: S = S*w for w in G_e
-    classes = set() if 0 in agreed and size == e else None
+    cosets = set() if 0 in agreed and size == e else None
     scanned = 0
+    best_val, best_x, best_keys = size, None, None
     while True:
-        if (h - scanned) * 2 * size > LOOP_CAP:
+        if (h - scanned) * size > LOOP_CAP:
             raise TooLarge(f"{h - scanned} probes on {size} candidates above loop cap")
-        best_val, best_x, best_keys = None, None, None
         for x in range(scanned, h):
-            zx = zeta * x % p
-            if x in agreed and zx in agreed:
+            if x in agreed:
                 continue
-            if classes is not None:
+            if cosets is not None:
                 key = pow(x, e, p)
-                if key in classes:
+                if key in cosets:
                     continue
-                classes.add(key)
-            keys = _probe_keys(p, e, S, x, zx)
-            v = _stat_r(keys)
-            if best_val is None or v < best_val:
+                cosets.add(key)
+            keys = _predictions(p, e, S, x)
+            if len(set(keys)) == size:
+                v = 1
+            else:
+                v = max(collections.Counter(keys).values())
+            if v < best_val:
                 best_val, best_x, best_keys = v, x, keys
-                if v <= 1:
+                if v <= least:
                     break
-        if best_val is not None and best_val < size:
+        if best_x is not None:
             break
         scanned = h
         if h >= cap:
             raise Stalled(f"window cap {cap} reached without shrinkage")
         h = min(h * STALL_FACTOR, cap)
-    zx = zeta * best_x % p
-    keys = best_keys
-    lo = _answer(oracle, best_x, min(keys) // p, max(keys) // p) * p
-    # the keys of x's survivors, [lo] (no call) if S had lost the shift
-    rest = [key for key in keys if lo <= key < lo + p] or [lo]
-    want = lo + _answer(oracle, zx, min(rest) - lo, max(rest) - lo)
-    kept = tuple(t for t, key in zip(S, keys) if key == want)
-    agreed.update((best_x, zx))
+    a = oracle.query(best_x)
+    kept = tuple(t for t, key in zip(S, best_keys) if key == a)
+    agreed.add(best_x)
     if trace is not None:
-        trace.append(("r", best_x, size, len(kept)))
+        trace.append(("narrow", best_x, size, len(kept)))
     return kept
 
 
@@ -270,33 +261,33 @@ def recover_from_candidates(
     trace: list | None = None,
     agreed=(),
 ) -> int:
-    """Iterated narrowing rounds until at most FINAL_SET_THRESHOLD
-    candidates are left, then final resolution through x = -t queries.
+    """Narrowing rounds until one candidate is left, one call each.
 
     `agreed` lists the points S0 was built from (every member predicts the
     oracle's answer there); with the points each round queries, they are
-    the probes `narrow_candidates` skips.  At most `policy.max_rounds`
+    the points `narrow_candidates` skips.  At most `policy.max_rounds`
     rounds run: Stalled before a round beyond them would start.
 
     At d = (p-1)/e = 1 every answer except the one at x = -s is 1, so no
-    probe rules out more than one candidate: resolve directly.
+    point rules out more than one candidate: resolve by x = -t directly.
     """
-    if oracle.params.d == 1:
-        return _resolve_small(oracle, S0)
     S = S0
-    agreed = set(agreed)
-    rounds = 0
-    while len(S) > FINAL_SET_THRESHOLD:
-        if rounds >= policy.max_rounds:
-            raise Stalled(f"no resolution within {policy.max_rounds} rounds")
-        S = narrow_candidates(oracle, S, policy, trace, agreed)
-        rounds += 1
+    if oracle.params.d > 1:
+        agreed = set(agreed)
+        rounds = 0
+        while len(S) > 1:
+            if rounds >= policy.max_rounds:
+                raise Stalled(f"no resolution within {policy.max_rounds} rounds")
+            S = narrow_candidates(oracle, S, policy, trace, agreed)
+            rounds += 1
+    # at d >= 2 at most one candidate is left: no call, Stalled if none
     return _resolve_small(oracle, S)
 
 
 def _seed_candidates(oracle: ShiftOracle, points: range) -> tuple[int, ...]:
-    """Query the points in order; the t with (t + x)^e = A_x at each x.  A
-    zero answer at x ends the queries and leaves the one candidate -x.
+    """Query the points in order; the t with (t + x)^e = A_x at each x.  An
+    answer that leaves one candidate ends the queries: A_x = 0 leaves -x,
+    and at e = 1 every answer A_x = x + t leaves A_x - x.
 
     `consecutive_roots` solves the system in y = t + start.  The points start
     at 0 or 1, and at 1 no root y is 0 (that needs A_1 = 0), so t = y - start
@@ -305,8 +296,8 @@ def _seed_candidates(oracle: ShiftOracle, points: range) -> tuple[int, ...]:
     answers = []
     for x in points:
         a = oracle.query(x)
-        if a == 0:
-            return ((-x) % oracle.ctx.p,)
+        if a == 0 or oracle.params.e == 1:
+            return ((a - x) % oracle.ctx.p,)
         answers.append(a)
     roots = consecutive_roots(oracle.ctx, oracle.params, answers)
     return tuple(y - points.start for y in roots)

@@ -118,3 +118,26 @@ def optimal_worst_calls(p, e):
     G = tuple(sorted(x for x in range(1, p) if pow(x, e, p) == 1))
     return 1 + solve(G, len(G))
 
+
+
+def greedy_round(p, e, S, window):
+    """One round of the one-point greedy rule by plain full scan: over every
+    x in [0, h), the size of the largest class of {(t + x)^e : t in S}; the
+    least one below |S| wins, ties to the smallest x.  h starts at `window`
+    and doubles, up to p - 1, while no x splits S.  Returns (x, classes),
+    classes mapping each predicted answer to its sorted tuple of t."""
+    h = min(max(window, 1), p - 1)
+    while True:
+        best = None
+        for x in range(h):
+            classes = {}
+            for t in S:
+                classes.setdefault(pow(t + x, e, p), []).append(t)
+            largest = max(len(c) for c in classes.values())
+            if largest < len(S) and (best is None or largest < best[0]):
+                best = (largest, x, classes)
+        if best is not None:
+            return best[1], {a: tuple(c) for a, c in best[2].items()}
+        if h >= p - 1:
+            raise ValueError("no point splits S")
+        h = min(2 * h, p - 1)

@@ -1,4 +1,6 @@
+import collections
 import hashlib
+import math
 import os
 import random
 import subprocess
@@ -14,7 +16,7 @@ from shiftbreak.errors import ConfigError, ForbiddenInput, Stalled, TooLarge
 from shiftbreak.oracle import ShiftOracle, new_oracle
 from shiftbreak.root_solver import full_witness_set
 
-from reference import divisors, optimal_worst_calls, primes_below
+from reference import divisors, greedy_round, optimal_worst_calls, primes_below
 
 PRIMES = [5, 7, 11, 13, 17, 19, 23, 29, 31, 41, 61]
 
@@ -122,8 +124,11 @@ def test_smooth_candidates_contain_secret():
 def test_collision_stat_r_examples():
     ctx = fc.make_context(13)
     params = fc.make_params(ctx, 3)
-    assert sr._zeta(ctx) == 9
+    # zeta = 1/isqrt(13) = 1/3 = 9: 0 and 2 predict 1 at x = 1, but 1 and 5
+    # at 9, so their pairs differ while their answers at x collide
     assert sr.collision_stat_r(ctx, params, (4, 5), 1) == 1
+    assert sr.collision_stat_r(ctx, params, (0, 2), 1) == 1
+    assert sr.collision_stat_R(ctx, params, (0, 2), 1) == 2
     assert sr.collision_stat_r(ctx, params, (4,), 7) == 1
     assert sr.collision_stat_r(ctx, params, (4, 5), 0) == 1
 
@@ -158,82 +163,61 @@ def test_collision_stat_R_brute_force():
 
 
 def test_narrow_candidates_pinned_cases():
-    # all of (2, 5, 6) agree at x = 0; x = 1 splits them, and the answer
-    # there leaves one candidate
+    # all of (2, 5, 6) agree at x = 0; x = 1 splits them into singletons,
+    # and the answer there leaves one candidate
     o = make(13, 3, 5)
     trace = []
     T = sr.narrow_candidates(o, (2, 5, 6), sr.ProbePolicy(), trace)
     assert T == (5,)
     assert o.calls == 1
-    assert trace == [("r", 1, 3, 1)]
+    assert trace == [("narrow", 1, 3, 1)]
 
-    # the answer at x leaves one candidate, so zeta*x is not queried
+    # x = 0 already splits (4, 5)
     o = make(13, 3, 5)
     T = sr.narrow_candidates(o, (4, 5), sr.ProbePolicy())
     assert T == (5,)
     assert o.calls == 1
 
 
-def stat_reference_narrow(o, S, policy):
-    """One narrowing round through the public statistic: pick the probe by
-    collision_stat_r, then filter by recomputed powers, querying a point
-    only where the candidates left disagree.  Returns (probe, kept)."""
-    p, e = o.ctx.p, o.params.e
-    zeta = sr._zeta(o.ctx)
-    scanned, h = 0, min(max(policy.initial_window, 1), p - 1)
-    while True:
-        best = None
-        for x in range(scanned, h):
-            v = sr.collision_stat_r(o.ctx, o.params, S, x)
-            if best is None or v < best[0]:
-                best = (v, x)
-                if v <= 1:
-                    break
-        if best is not None and best[0] < len(S):
-            break
-        if h >= p - 1:
-            raise Stalled("window cap reached")
-        scanned, h = h, min(h * sr.STALL_FACTOR, p - 1)
-    x = best[1]
-    kept = list(S)
-    for point in (x, zeta * x % p):
-        if len({pow(t + point, e, p) for t in kept}) > 1:
-            a = o.query(point)
-            kept = [t for t in kept if pow(t + point, e, p) == a]
-    return x, tuple(kept)
-
-
 def test_narrowing_matches_the_statistic_reference():
-    # a round keeps the scanned probe's powers to filter with; its probe,
-    # kept set and oracle calls equal those of a round that recomputes them
+    # each round's point, kept set and single call equal those of the plain
+    # full-scan greedy (tests/reference.py `greedy_round`), although a round
+    # skips agreed points, evaluates one point per coset of G_e on a whole
+    # zero-call seed and stops at the least possible largest class
     rng = random.Random(31)
+    cells = [(p, e, range(1)) for p in (29, 61, 101, 331) for e in divisors(p - 1)[1:-1]]
+    cells += [(p, e, range(2)) for p in (61, 101) for e in divisors(p - 1)[1:-1]]
+    # large_e's scan set at d = 2, narrowed in its own wide window
+    cells += [(p, (p - 1) // 2, None) for p in (1039, 1049)]
     rounds = 0
-    for p in (29, 61, 101, 331):
+    for p, e, points in cells:
         ctx = fc.make_context(p)
-        for e in divisors(p - 1)[2:-1]:
-            params = fc.make_params(ctx, e)
-            for _ in range(3):
-                s = rng.randrange(p)
-                o = new_oracle(ctx, params, s)
-                S = sr.initial_candidates_zero_call(o, full_witness_set(ctx, params))
-                # as in recover_from_candidates: the seed's x = 0 and each
-                # round's probes are agreed, so round 1 on a whole coset
-                # evaluates one probe per coset of G_e
-                agreed = {0}
-                while len(S) > 1:
-                    o, ref = (new_oracle(ctx, params, s) for _ in "ab")
-                    trace = []
-                    got = sr.narrow_candidates(o, S, sr.ProbePolicy(), trace, agreed)
-                    want = stat_reference_narrow(ref, S, sr.ProbePolicy())
-                    assert (trace[0][1], got) == want
-                    assert o.calls == ref.calls
-                    rounds += 1
-                    S = got
-    assert rounds > 100
+        params = fc.make_params(ctx, e)
+        policy = sr.ProbePolicy()
+        if points is None:
+            points = range(1, sr.large_e_call_count(p, e) + 1)
+            window = int((p / e) * p**0.5 * math.log(p) ** 2)
+            policy = sr.ProbePolicy(initial_window=window)
+        for s in rng.sample(range(p), 3):
+            S = sr._seed_candidates(new_oracle(ctx, params, s), points)
+            # as in recover_from_candidates: the seed's points and each
+            # round's point are agreed
+            agreed = set(points)
+            while len(S) > 1:
+                o, trace = new_oracle(ctx, params, s), []
+                got = sr.narrow_candidates(o, S, policy, trace, agreed)
+                x, classes = greedy_round(p, e, S, policy.initial_window)
+                assert trace == [("narrow", x, len(S), len(got))], (p, e, s)
+                assert got == classes[pow(s + x, e, p)]
+                assert o.calls == 1
+                rounds += 1
+                S = got
+    assert rounds > 300
 
 
 def test_r_statistic_is_constant_on_cosets_of_G_e_over_a_zero_call_seed():
-    # S0 = t0*G_e, and t -> t*w maps the answer pairs at x onto those at x*w
+    # S0 = t0*G_e, and t -> t*w maps the predictions at x onto those at x*w:
+    # the answer pairs of the r reference and the answer classes alike
     rng = random.Random(19)
     checked = 0
     for p in (q for q in range(3, 150) if fc.is_prime(q)):
@@ -251,33 +235,64 @@ def test_r_statistic_is_constant_on_cosets_of_G_e_over_a_zero_call_seed():
                 assert sr.collision_stat_r(ctx, params, S, x) == sr.collision_stat_r(
                     ctx, params, S, x * w % p
                 ), (p, e, x)
+                sizes = [
+                    sorted(collections.Counter(sr._predictions(p, e, S, y)).values())
+                    for y in (x, x * w % p)
+                ]
+                assert sizes[0] == sizes[1], (p, e, x)
                 checked += 1
     assert checked > 1000
 
 
 def test_round_one_on_a_zero_call_seed_evaluates_one_probe_per_coset(monkeypatch):
-    # the first window is x = 0..3 and x = 0 is agreed; 2 and 3 are squares
-    # mod 1009 (d = 2), and mod 331 (d = 2) 3 is a square but 2 is not
-    probes = []
-    probe_keys = sr._probe_keys
+    # the first window is x = 0..3 and x = 0 is agreed.  Mod 1009 (d = 2)
+    # x = 1 reaches the least possible largest class, ceil(503/2), and ends
+    # the scan; mod 331 (d = 2) 2 is not a square, so it is evaluated after 1
+    evaluated = []
+    predictions = sr._predictions
 
-    def recording_probe_keys(p, e, S, x, zx):
-        probes.append((len(trace), x))
-        return probe_keys(p, e, S, x, zx)
+    def recording_predictions(p, e, S, x):
+        evaluated.append((len(trace), x))
+        return predictions(p, e, S, x)
 
-    monkeypatch.setattr(sr, "_probe_keys", recording_probe_keys)
+    monkeypatch.setattr(sr, "_predictions", recording_predictions)
     for p, e, want in ((1009, 504, [1]), (331, 165, [1, 2])):
         for s in (1, 77, p - 2):
-            probes.clear()
+            evaluated.clear()
             trace = []
             assert sr.recover(make(p, e, s), "zero_call_narrow", trace=trace) == s
-            assert [x for rnd, x in probes if rnd == 0] == want, (p, e, s)
+            assert [x for rnd, x in evaluated if rnd == 0] == want, (p, e, s)
+
+    # every d >= 2 cell with p < 200: round 1 evaluates the first point of
+    # each coset of G_e in ascending order, skipping x = 0, until the scan
+    # ends, and picks the full-scan greedy's point
+    rounds = 0
+    for p in primes_below(200):
+        ctx = fc.make_context(p)
+        for e in divisors(p - 1)[1:-1]:
+            params = fc.make_params(ctx, e)
+            cosets = {}
+            for x in range(1, p - 1):
+                cosets.setdefault(pow(x, e, p), x)
+            firsts = sorted(cosets.values())
+            for s in (1, p - 2):
+                evaluated.clear()
+                trace = []
+                S0 = sr._seed_candidates(new_oracle(ctx, params, s), range(1))
+                o = new_oracle(ctx, params, s)
+                assert sr.recover(o, "zero_call_narrow", trace=trace) == s
+                first = [x for rnd, x in evaluated if rnd == 0]
+                assert first == firsts[: len(first)], (p, e, s)
+                window = sr.ProbePolicy().initial_window
+                assert trace[0][1] == greedy_round(p, e, S0, window)[0], (p, e, s)
+                rounds += 1
+    assert rounds > 300
 
 
 @pytest.mark.parametrize("e", (5, 6, 7))
-def test_r_statistic_narrows_the_small_sets_at_2_61(e):
-    # 4 < |S0| = e <= p^0.05: at d = (p-1)/e > 3e17 the first r probe
-    # splits every S0 into singletons, so recovery makes 2 calls
+def test_one_round_narrows_the_small_sets_at_2_61(e):
+    # |S0| = e <= p^0.05: at d = (p-1)/e > 3e17 the first point splits every
+    # S0 into singletons, so recovery makes 2 calls, one narrowing round
     p = 2**61 - 1
     rng = random.Random(e)
     for s in (rng.randrange(p) for _ in range(20)):
@@ -285,7 +300,7 @@ def test_r_statistic_narrows_the_small_sets_at_2_61(e):
         trace = []
         assert sr.recover(o, "zero_call_narrow", trace=trace) == s
         assert o.calls == 2
-        assert [r[0] for r in trace] == ["r"]
+        assert [r[0] for r in trace] == ["narrow"]
 
 
 def test_recover_from_candidates_example():
@@ -393,21 +408,63 @@ def test_smooth_narrow_makes_one_call_at_s_0():
             assert o.calls == 1, (p, e)
 
 
+def test_smooth_narrow_makes_one_call_at_e_1():
+    # at e = 1 the answer x + s at x = 0 leaves the one candidate s: no call
+    # at x = 1, where that candidate predicts s + 1
+    for p in (q for q in range(3, 100) if fc.is_prime(q)):
+        for s in range(p):
+            o = make(p, 1, s)
+            assert sr._seed_candidates(o, range(2)) == (s,)
+            assert o.calls == 1, (p, s)
+            o = make(p, 1, s)
+            assert sr.recover(o, "smooth_narrow") == s
+            assert o.calls == 1, (p, s)
+
+
+def test_every_narrowing_round_makes_one_call():
+    # the calls are the seed's and one per "narrow" entry of the trace, on
+    # every d >= 2 cell with p < 100 and every shift
+    checked = 0
+    for p in primes_below(100):
+        ctx = fc.make_context(p)
+        for e in divisors(p - 1):
+            params = fc.make_params(ctx, e)
+            if params.d < 2:
+                continue
+            m = sr.large_e_call_count(p, e)
+            seeds = {
+                "zero_call_narrow": range(1),
+                "smooth_narrow": range(2),
+                "large_e": range(1, m + 1) if e > p**0.9 else range(1),
+            }
+            for s in range(p):
+                for algorithm, points in seeds.items():
+                    seed = ShiftOracle(ctx, params, s)
+                    sr._seed_candidates(seed, points)
+                    o, trace = ShiftOracle(ctx, params, s), []
+                    assert sr.recover(o, algorithm, trace=trace) == s
+                    rounds = sum(r[0] == "narrow" for r in trace)
+                    assert o.calls == seed.calls + rounds, (algorithm, p, e, s)
+                    checked += 1
+    assert checked > 10000
+
+
 def test_max_rounds_is_checked_before_a_round_starts():
-    # p = 383, e = 191, s = 1..4: three r-rounds of 2 calls after the x = 0
-    # call, the third leaving at most 4 candidates
+    # p = 383, e = 191: one call per round after the x = 0 call; s = 1, 2
+    # take 7 rounds and s = 3, 4 take 9, the last leaving one candidate
     ctx = fc.make_context(383)
     params = fc.make_params(ctx, 191)
-    for s in range(1, 5):
+    for s, rounds in ((1, 7), (2, 7), (3, 9), (4, 9)):
         o, trace = new_oracle(ctx, params, s), []
-        assert sr.recover_zero_call_narrow(o, sr.ProbePolicy(max_rounds=3), trace) == s
-        assert len(trace) == 3 and trace[-1][3] <= sr.FINAL_SET_THRESHOLD
-        for max_rounds in (1, 2):
+        assert sr.recover_zero_call_narrow(o, sr.ProbePolicy(max_rounds=rounds), trace) == s
+        assert len(trace) == rounds and trace[-1][3] == 1
+        assert o.calls == 1 + rounds
+        for max_rounds in (1, rounds - 1):
             o, trace = new_oracle(ctx, params, s), []
             with pytest.raises(Stalled, match=f"within {max_rounds} rounds"):
                 sr.recover_zero_call_narrow(o, sr.ProbePolicy(max_rounds=max_rounds), trace)
             assert len(trace) == max_rounds
-            assert o.calls == 1 + 2 * max_rounds
+            assert o.calls == 1 + max_rounds
 
 
 def test_recover_runs_every_algorithm_by_name():
@@ -502,26 +559,28 @@ def test_planted_shifts_at_large_p(no_power_table, p, exponents):
                 assert got == s, (algorithm, p, e, s)
 
 
-# Oracle calls of the table-based implementation these algorithms replaced,
-# less its calls at points where every candidate left predicted one answer,
-# over s = 0..p-1 with randomized seed s + 1: the first 16 hex digits of the
-# sha256 of repr(per-shift calls for each e with d = (p-1)/e >= 2, ascending),
-# and the total calls over all shifts at d = 1.  smooth_narrow's rows are
-# those of its least-nonresidue witnesses (n = 1, calls at x = 0, 1 before
-# narrowing, none at x = 1 once x = 0 has answered 0).
+# Pinned oracle calls over s = 0..p-1 with randomized seed s + 1: the first
+# 16 hex digits of the sha256 of repr(per-shift calls for each e with
+# d = (p-1)/e >= 2, ascending), and a bound on the total calls over all
+# shifts at d = 1.  randomized's rows are those of the table-based
+# implementation these algorithms replaced, less its calls at points where
+# every candidate left predicted one answer.  The narrowing rows are those
+# of the one-point rule (one call per round, until one candidate is left);
+# smooth_narrow's seed queries x = 1 only if the answer at x = 0 left more
+# than one candidate (not at s = 0, nor at e = 1).
 TABLE_ERA_CALLS = {
-    ("zero_call_narrow", 13): ("33f1c19bb18e8527", 102),
-    ("zero_call_narrow", 29): ("bfa84707490e7e98", 500),
-    ("zero_call_narrow", 61): ("5bfab18e6ebef3c0", 2092),
-    ("smooth_narrow", 13): ("9a43be9825f93e8c", 90),
-    ("smooth_narrow", 29): ("a9cce0a5c3dc8628", 434),
-    ("smooth_narrow", 61): ("ff3892f5f8fa39bb", 1890),
+    ("zero_call_narrow", 13): ("ee36b641bbfa7fce", 102),
+    ("zero_call_narrow", 29): ("369327a7cfed21ea", 500),
+    ("zero_call_narrow", 61): ("cb010e91528eb4d2", 2092),
+    ("smooth_narrow", 13): ("fbd3cac30273a88a", 90),
+    ("smooth_narrow", 29): ("3cdacab5b2bffe57", 434),
+    ("smooth_narrow", 61): ("41c3cf60e459fd39", 1890),
     ("randomized", 13): ("2e3fc85a1048f1a8", 201),
     ("randomized", 29): ("34aba84225201cd0", 635),
     ("randomized", 61): ("5148901ebd332e90", 3810),
-    ("large_e", 13): ("33f1c19bb18e8527", 94),
-    ("large_e", 29): ("bfa84707490e7e98", 450),
-    ("large_e", 61): ("5bfab18e6ebef3c0", 1941),
+    ("large_e", 13): ("ee36b641bbfa7fce", 94),
+    ("large_e", 29): ("369327a7cfed21ea", 450),
+    ("large_e", 61): ("cb010e91528eb4d2", 1941),
 }
 
 
@@ -545,13 +604,17 @@ def test_large_e_at_d1_builds_no_power_table(no_power_table):
 
 def table_scan(oracle, points):
     """Reference for `_seed_candidates`: the same queries at the consecutive
-    points, then every x in F_p checked against a table of x^e."""
+    points, up to an answer that leaves one candidate (0 at x = j leaves -j,
+    and at e = 1 the answer j + s leaves s), then every x in F_p checked
+    against a table of x^e."""
     p, e = oracle.ctx.p, oracle.params.e
     answers = {}
     for j in points:
         a = oracle.query(j)
         if a == 0:
             return ((-j) % p,)
+        if e == 1:
+            return ((a - j) % p,)
         answers[j] = a
     tab = [pow(x, e, p) for x in range(p)]
     return tuple(
@@ -619,8 +682,8 @@ except TooLarge:
 
 
 def test_large_e_caps_its_first_window_at_d2():
-    # p = 100003, d = 2: the first window, h = (p/e) sqrt(p) ln(p)^2 probes
-    # at 2|S| pows each, costs about 2.6e8 > LOOP_CAP, so TooLarge follows
+    # p = 100003, d = 2: the first window, h = (p/e) sqrt(p) ln(p)^2 points
+    # at |S| pows each, costs about 1.3e8 > LOOP_CAP, so TooLarge follows
     # the m = 6 scan calls at once.  In a subprocess with a 60 s bound, so
     # that a missing cap fails the test rather than scanning for minutes.
     assert sr.large_e_call_count(100003, 50001) == 6
@@ -637,18 +700,53 @@ def test_large_e_caps_its_first_window_at_d2():
     assert out.stdout == "6\n", out.stderr
 
 
+LARGE_E_WALL_SCRIPT = """
+import random
+from shiftbreak import field_core as fc, shift_recovery as sr
+from shiftbreak.oracle import new_oracle
+
+ctx = fc.make_context(10007)
+params = fc.make_params(ctx, 5003)
+rng = random.Random(10007)
+for s in [rng.randrange(10007) for _ in range(5)]:
+    o = new_oracle(ctx, params, s)
+    assert sr.recover_large_e(o) == s
+    print(o.calls)
+"""
+
+
+def test_large_e_recovers_within_a_wall_bound_at_d2():
+    # p = 10007, d = 2: the scan leaves about 300 candidates, and each round
+    # stops at the first point of its wide window whose largest answer class
+    # is the least possible, so 5 recoveries take about a second, not the
+    # minutes of a scan that evaluates the whole window
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    out = subprocess.run(
+        [sys.executable, "-c", LARGE_E_WALL_SCRIPT],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=30,
+    )
+    assert out.returncode == 0, out.stderr
+    calls = [int(line) for line in out.stdout.split()]
+    assert len(calls) == 5 and max(calls) <= 15, calls
+
+
 def test_narrowing_skips_probes_every_candidate_agrees_on(monkeypatch):
     # before a round, every point queried so far (the points S0 was built
-    # from and the earlier rounds' probes) is one where all candidates
-    # predict the oracle's answer; no probe may lie wholly on such points
+    # from and the earlier rounds' points) is one where all candidates
+    # predict the oracle's answer; no such point may be evaluated
     events = []
-    probe_keys = sr._probe_keys
+    predictions = sr._predictions
 
-    def recording_probe_keys(p, e, S, x, zx):
-        events.append(("probe", x, zx))
-        return probe_keys(p, e, S, x, zx)
+    def recording_predictions(p, e, S, x):
+        events.append(("probe", x))
+        return predictions(p, e, S, x)
 
-    monkeypatch.setattr(sr, "_probe_keys", recording_probe_keys)
+    monkeypatch.setattr(sr, "_predictions", recording_predictions)
 
     def recording_oracle(ctx, params, s):
         o = new_oracle(ctx, params, s)
@@ -673,20 +771,19 @@ def test_narrowing_skips_probes_every_candidate_agrees_on(monkeypatch):
                     o = recording_oracle(ctx, params, s)
                     assert sr.recover(o, algorithm) == s
                     queried = set()
-                    for kind, x, *zx in events:
+                    for kind, x in events:
                         if kind == "query":
                             queried.add(x)
                             continue
-                        assert not {x, zx[0]} <= queried, (algorithm, p, e, s, x, zx)
+                        assert x not in queried, (algorithm, p, e, s, x)
                         probes += 1
     assert probes > 1000
 
 
 def test_skipped_probes_change_no_round():
     # the same rounds, answer and calls as narrowing told of no agreed point;
-    # at p = 1048601 the smooth set is built from x = 0, 1 and narrowed by r
-    # probes, x = 1 among them at e = 149800: agreed on x but not on zeta*x,
-    # so still scanned (its zero-call sets of e members are left out for time)
+    # at p = 1048601 the smooth set is built from x = 0, 1, both skipped
+    # (its zero-call sets of e members are left out for time)
     rng = random.Random(7)
     cells = [
         (p, e, range(0, p, 7), (False, True))
@@ -756,40 +853,40 @@ def test_d1_resolves_candidates_by_x_minus_t():
 
 
 def test_recovery_raises_on_a_forbidden_probe():
-    # s = 5, S_0 = (2, 5, 6): resolution queries x = -2 = 11, then x = -5 = 8,
-    # which the oracle forbids; recovery does not route around it
+    # s = 5, S_0 = (2, 5, 6): x = 1 splits it into singletons, and the
+    # oracle forbids it; recovery does not route around it
     ctx = fc.make_context(13)
     params = fc.make_params(ctx, 3)
-    o = new_oracle(ctx, params, 5, frozenset({8}))
+    o = new_oracle(ctx, params, 5, frozenset({1}))
     with pytest.raises(ForbiddenInput):
         sr.recover_zero_call_narrow(o)
-    assert o.calls == 2
+    assert o.calls == 1
 
 
 def test_resolve_small_queries_around_a_forbidden_probe():
-    # S_0 = (2, 5, 6): resolution queries x = -2 = 11 and x = -5 = 8 only,
-    # and the largest candidate 6 is returned unqueried, so a forbidden
-    # x = -6 = 7 is never asked
+    # (2, 5, 6): x = -t resolution (d = 1 and randomized) queries x = -2 = 11
+    # and x = -5 = 8 only, and the largest candidate 6 is returned unqueried,
+    # so a forbidden x = -6 = 7 is never asked
     ctx = fc.make_context(13)
     params = fc.make_params(ctx, 3)
-    for s, calls in ((2, 2), (5, 3), (6, 3)):
+    for s, calls in ((2, 1), (5, 2), (6, 2)):
         o = new_oracle(ctx, params, s, frozenset({7}))
-        assert sr.recover_zero_call_narrow(o) == s
+        assert sr._resolve_small(o, (2, 5, 6)) == s
         assert o.calls == calls
 
 
 def test_resolve_small_stalls_on_two_untestable_candidates():
-    # probes -5 = 8 and -6 = 7 forbidden: recovery no longer stalls on the
+    # probes -5 = 8 and -6 = 7 forbidden: resolution does not stall on the
     # two untestable candidates 5 and 6 but raises the oracle's
     # ForbiddenInput at x = 8; a shift resolved before that probe is found
     ctx = fc.make_context(13)
     params = fc.make_params(ctx, 3)
     for s in (5, 6):
         with pytest.raises(ForbiddenInput):
-            sr.recover_zero_call_narrow(new_oracle(ctx, params, s, frozenset({7, 8})))
+            sr._resolve_small(new_oracle(ctx, params, s, frozenset({7, 8})), (2, 5, 6))
     o = new_oracle(ctx, params, 2, frozenset({7, 8}))
-    assert sr.recover_zero_call_narrow(o) == 2  # x = 11 answers 0
-    assert o.calls == 2
+    assert sr._resolve_small(o, (2, 5, 6)) == 2  # x = 11 answers 0
+    assert o.calls == 1
 
 
 def test_optimal_worst_calls_matches_a_plain_minimax():
