@@ -34,12 +34,14 @@ class ShiftOracle:
         self._calls = 0
 
     def query(self, x: int) -> int:
-        x %= self.p
-        if x in self.forbidden:
-            # Rejections carry no information about s and are not counted.
-            raise ForbiddenInput(f"x={x} is forbidden")
+        if self.forbidden:
+            x %= self.p
+            if x in self.forbidden:
+                # Rejections carry no information about s and are not counted.
+                raise ForbiddenInput(f"x={x} is forbidden")
         self._calls += 1
-        # pow reduces its base, so x + s needs no reduction of its own
+        # pow reduces its base, so x + s needs no reduction of its own, and
+        # an oracle that forbids nothing passes x to it unreduced
         return pow(x + self.__s, self.e, self.p)
 
     @property

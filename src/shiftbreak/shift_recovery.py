@@ -37,7 +37,9 @@ from __future__ import annotations
 
 import collections
 import functools
+import itertools
 import math
+import operator
 import random
 from dataclasses import dataclass, replace
 
@@ -70,7 +72,7 @@ def interpolation_recover(oracle: ShiftOracle) -> int:
         raise TooLarge(f"e={e} above the exhaustive cap {EXHAUSTIVE_CAP}")
     answers = [oracle.query(x) for x in range(e + 1)]
     weights = _interp_weights(p, e)
-    c_top = sum(a * w for a, w in zip(answers, weights)) % p
+    c_top = sum(map(operator.mul, answers, weights)) % p
     return c_top * pow(e, -1, p) % p
 
 
@@ -90,10 +92,12 @@ def _interp_weights(p: int, e: int) -> tuple[int, ...]:
     for k in range(e, 0, -1):
         inv_fact[k - 1] = inv_fact[k] * k % p
     total = e * (e + 1) // 2
-    return tuple(
-        (-1) ** (e - i + 1) * (total - i) * inv_fact[i] * inv_fact[e - i] % p
-        for i in range(e + 1)
-    )
+    weights = []
+    sign = 1 if e % 2 else -1  # (-1)^(e - i + 1) at i = 0
+    for i in range(e + 1):
+        weights.append(sign * (total - i) * inv_fact[i] * inv_fact[e - i] % p)
+        sign = -sign
+    return tuple(weights)
 
 
 def initial_candidates_zero_call(
@@ -174,6 +178,9 @@ def narrow_candidates(
     point splits S, and ties go to the smallest x.  An answer is 0 or one
     of the d-th roots of unity, and only t = -x predicts 0, so no class is
     below ceil((|S| - 1)/d): the scan stops at the first point reaching it.
+    For the same reason S splits into singletons only while |S| <= d + 1,
+    and only then does a point's class count start with an all-distinct
+    check.
     A window segment costs |S| pow calls per point; TooLarge before a
     segment whose bound, counted over every point in it, passes LOOP_CAP.
 
@@ -193,6 +200,7 @@ def narrow_candidates(
     cap = p - 1
     size = len(S)
     least = -(-(size - 1) // params.d)
+    few = size <= params.d + 1
     h = min(max(policy.initial_window, 1), cap)
     if agreed is None:
         agreed = set()
@@ -212,7 +220,7 @@ def narrow_candidates(
                     continue
                 cosets.add(key)
             keys = _predictions(p, e, S, x)
-            if len(set(keys)) == size:
+            if few and len(set(keys)) == size:
                 v = 1
             else:
                 v = max(collections.Counter(keys).values())
@@ -227,7 +235,7 @@ def narrow_candidates(
             raise Stalled(f"window cap {cap} reached without shrinkage")
         h = min(h * STALL_FACTOR, cap)
     a = oracle.query(best_x)
-    kept = tuple(t for t, key in zip(S, best_keys) if key == a)
+    kept = tuple(itertools.compress(S, map(a.__eq__, best_keys)))
     agreed.add(best_x)
     if trace is not None:
         trace.append(("narrow", best_x, size, len(kept)))
@@ -290,8 +298,9 @@ def _seed_candidates(oracle: ShiftOracle, points: range) -> tuple[int, ...]:
     and at e = 1 every answer A_x = x + t leaves A_x - x.
 
     `consecutive_roots` solves the system in y = t + start.  The points start
-    at 0 or 1, and at 1 no root y is 0 (that needs A_1 = 0), so t = y - start
-    keeps the set sorted.  TooLarge above e = EXHAUSTIVE_CAP.
+    at 0 or 1: at 0 the roots are the set, and at 1 no root y is 0 (that
+    needs A_1 = 0), so t = y - 1 keeps the set sorted.  TooLarge above
+    e = EXHAUSTIVE_CAP.
     """
     answers = []
     for x in points:
@@ -300,6 +309,8 @@ def _seed_candidates(oracle: ShiftOracle, points: range) -> tuple[int, ...]:
             return ((a - x) % oracle.ctx.p,)
         answers.append(a)
     roots = consecutive_roots(oracle.ctx, oracle.params, answers)
+    if points.start == 0:
+        return roots
     return tuple(y - points.start for y in roots)
 
 

@@ -61,3 +61,14 @@ def test_secret_sealed_from_public_surface():
     assert not hasattr(o, "s")
     assert not hasattr(o, "secret")
     assert unsafe_reveal_secret(o) == 5
+
+
+def test_oracle_that_forbids_nothing_takes_any_spelling_of_x():
+    # x is reduced only to check it against forbidden inputs; pow reduces
+    # x + s itself, so every spelling of x answers alike, each call counted
+    o = make()
+    assert not o.forbidden
+    for x in range(13):
+        answers = {o.query(y) for y in (x, x + 13, x - 13, x + 2**70 * 13)}
+        assert answers == {pow(x + 5, 3, 13)}
+    assert o.calls == 4 * 13

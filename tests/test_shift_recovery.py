@@ -592,6 +592,50 @@ def test_oracle_calls_match_table_era(algorithm, p):
     assert sum(_calls_per_shift(algorithm, p, p - 1)) <= d1_total
 
 
+def _narrowing_runs(algorithm, p):
+    """(recovered, calls, trace) per shift: every e and every s at p = 13,
+    29 and 61; at p = 293 and 397, e = (p-1)/2 and 20 shifts seeded by p."""
+    if p < 100:
+        cells = [(e, s) for e in divisors(p - 1) for s in range(p)]
+    else:
+        rng = random.Random(p)
+        cells = [((p - 1) // 2, rng.randrange(p)) for _ in range(20)]
+    ctx = fc.make_context(p)
+    runs = []
+    for e, s in cells:
+        o, trace = new_oracle(ctx, fc.make_params(ctx, e), s), []
+        runs.append((sr.recover(o, algorithm, trace=trace), o.calls, trace))
+    return runs
+
+
+# Pinned narrowing rounds: the first 16 hex digits of the sha256 of
+# repr(_narrowing_runs(algorithm, p)).  TABLE_ERA_CALLS pins calls alone;
+# these also pin each round's queried point and the sizes it leaves.
+NARROWING_TRACES = {
+    ("zero_call_narrow", 13): "c0a336a3a30702d0",
+    ("zero_call_narrow", 29): "e5e2e50348ef652e",
+    ("zero_call_narrow", 61): "bcc5b0a866edeb53",
+    ("zero_call_narrow", 293): "6f2b2dfdc052ac4c",
+    ("zero_call_narrow", 397): "48490333fdf64214",
+    ("smooth_narrow", 13): "9bb0cbeeafe03da7",
+    ("smooth_narrow", 29): "c8fd56dd3bcdb300",
+    ("smooth_narrow", 61): "a31d8a563e303321",
+    ("smooth_narrow", 293): "11e263b6c9ddea45",
+    ("smooth_narrow", 397): "c57c110fec1d6ad7",
+    ("large_e", 13): "11c5adec2db075f4",
+    ("large_e", 29): "781d02a0346e79d4",
+    ("large_e", 61): "e587231f0b727789",
+    ("large_e", 293): "6f2b2dfdc052ac4c",
+    ("large_e", 397): "48490333fdf64214",
+}
+
+
+@pytest.mark.parametrize("algorithm, p", sorted(NARROWING_TRACES))
+def test_narrowing_rounds_match_their_pins(algorithm, p):
+    runs = _narrowing_runs(algorithm, p)
+    assert hashlib.sha256(repr(runs).encode()).hexdigest()[:16] == NARROWING_TRACES[algorithm, p]
+
+
 def test_large_e_at_d1_builds_no_power_table(no_power_table):
     # e = p-1: every nonzero answer is 1, so the scan's set is x = 0..p-m-1
     for p in (101, 211, 397):
