@@ -6,7 +6,8 @@ sets, the spaced-set partition, character sums, and smooth-number counts.
 Coset runs and the smooth subgroup are read off G_e and the factored p - 1,
 so they build no table over the field; the other counters loop over the
 boxes, sets or (for the complete character sums) the field they count.  The
-four character sums are each one `field_core.character_sum` call.
+four character sums are each one `field_core.character_sum` call, over at
+most LOOP_CAP terms.
 """
 
 from __future__ import annotations
@@ -200,13 +201,7 @@ def product_set_size(
     if t is None:
         base = {(x + s) % p for x in range(1, h + 1)}
     else:
-        if (s - t) % p == 0:
-            raise DegeneratePair("s and t must differ")
-        base = {
-            (x + s) * pow(x + t, -1, p) % p
-            for x in range(1, h + 1)
-            if (x + t) % p != 0
-        }
+        base = set(_fractions(p, s, t, range(1, h + 1)))
     prods = {1}
     for _ in range(nu):
         prods = {a * b % p for a in prods for b in base}
@@ -327,7 +322,8 @@ def check_spaced_partition(p: int, S, kappa: float, part: SpacedPartition) -> No
 
 
 def _fractions(p: int, s: int, t: int, xs):
-    """(x + s)/(x + t) mod p for the x in xs with x != -t; s != t."""
+    """(x + s)/(x + t) mod p for the x in xs with x != -t; DegeneratePair
+    where s = t, raised by the call itself, before any item."""
     if (s - t) % p == 0:
         raise DegeneratePair("s and t must differ")
     return ((x + s) * pow(x + t, -1, p) % p for x in xs if (x + t) % p)
@@ -336,7 +332,10 @@ def _fractions(p: int, s: int, t: int, xs):
 def char_sum_fraction(
     ctx: PrimeContext, params: ExponentParams, j: int, s: int, t: int, h: int
 ) -> complex:
-    """Sum over x = 1..h, x != -t, of chi_j((x+s)/(x+t))."""
+    """Sum over x = 1..h, x != -t, of chi_j((x+s)/(x+t)); TooLarge where
+    h > LOOP_CAP."""
+    if h > LOOP_CAP:
+        raise TooLarge(f"h={h} above loop cap")
     return character_sum(ctx, params, j, _fractions(ctx.p, s, t, range(1, h + 1)))
 
 
@@ -344,26 +343,33 @@ def char_sum_fraction_complete(
     ctx: PrimeContext, params: ExponentParams, j: int, s: int, t: int
 ) -> complex:
     """Complete sum over all x in F_p except x = -t; equals -1 for j != 0.
-    One pow per term (`character_sum`): 3.4-3.8 s near p = 10^6."""
+    One pow per term (`character_sum`): 2.3 s at p = 1000003 (2-core Xeon
+    VM, Python 3.11); TooLarge where p > LOOP_CAP."""
+    if ctx.p > LOOP_CAP:
+        raise TooLarge(f"p={ctx.p} above loop cap")
     return character_sum(ctx, params, j, _fractions(ctx.p, s, t, range(ctx.p)))
 
 
 def char_sum_interval(
     ctx: PrimeContext, params: ExponentParams, j: int, h: int
 ) -> complex:
-    """Sum over y = 1..h of chi_j(y)."""
+    """Sum over y = 1..h of chi_j(y); TooLarge where h > LOOP_CAP."""
     if j % params.d == 0:
         raise PrincipalCharacter("j must be nonprincipal")
+    if h > LOOP_CAP:
+        raise TooLarge(f"h={h} above loop cap")
     return character_sum(ctx, params, j, range(1, h + 1))
 
 
 def char_sum_shifted_power(
     ctx: PrimeContext, params: ExponentParams, j: int, f: int, a: int
 ) -> complex:
-    """Sum over x in F_p of chi_j(x^f + a)."""
+    """Sum over x in F_p of chi_j(x^f + a); TooLarge where p > LOOP_CAP."""
     if j % params.d == 0:
         raise PrincipalCharacter("j must be nonprincipal")
     p = ctx.p
+    if p > LOOP_CAP:
+        raise TooLarge(f"p={p} above loop cap")
     return character_sum(ctx, params, j, (pow(x, f, p) + a for x in range(p)))
 
 

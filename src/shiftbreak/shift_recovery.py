@@ -178,9 +178,6 @@ def narrow_candidates(
     point splits S, and ties go to the smallest x.  An answer is 0 or one
     of the d-th roots of unity, and only t = -x predicts 0, so no class is
     below ceil((|S| - 1)/d): the scan stops at the first point reaching it.
-    For the same reason S splits into singletons only while |S| <= d + 1,
-    and only then does a point's class count start with an all-distinct
-    check.
     A window segment costs |S| pow calls per point; TooLarge before a
     segment whose bound, counted over every point in it, passes LOOP_CAP.
 
@@ -200,7 +197,6 @@ def narrow_candidates(
     cap = p - 1
     size = len(S)
     least = -(-(size - 1) // params.d)
-    few = size <= params.d + 1
     h = min(max(policy.initial_window, 1), cap)
     if agreed is None:
         agreed = set()
@@ -220,10 +216,7 @@ def narrow_candidates(
                     continue
                 cosets.add(key)
             keys = _predictions(p, e, S, x)
-            if few and len(set(keys)) == size:
-                v = 1
-            else:
-                v = max(collections.Counter(keys).values())
+            v = max(collections.Counter(keys).values())
             if v < best_val:
                 best_val, best_x, best_keys = v, x, keys
                 if v <= least:
@@ -240,13 +233,6 @@ def narrow_candidates(
     if trace is not None:
         trace.append(("narrow", best_x, size, len(kept)))
     return kept
-
-
-def _answer(oracle: ShiftOracle, x: int, least: int, greatest: int) -> int:
-    """The oracle's answer at x, where the candidates left predict answers
-    from `least` to `greatest`.  The shift is a candidate, so when the two
-    are equal that is the answer, and no call is made."""
-    return least if least == greatest else oracle.query(x)
 
 
 def _resolve_small(oracle: ShiftOracle, S) -> int:
@@ -368,14 +354,15 @@ def recover_randomized(
     p, e = ctx.p, params.e
     nu = randomized_probe_count(p, e)
     rng = random.Random(seed)
-    S = set(S0)
+    S = S0
     for _ in range(nu):
         if len(S) <= 1:
             break
         x = rng.randrange(p)
-        keys = [pow(t + x, e, p) for t in S]
-        a = _answer(oracle, x, min(keys), max(keys))
-        S = {t for t, key in zip(S, keys) if key == a}
+        keys = _predictions(p, e, S, x)
+        # the shift is a candidate: one predicted answer is the answer
+        a = keys[0] if min(keys) == max(keys) else oracle.query(x)
+        S = tuple(itertools.compress(S, map(a.__eq__, keys)))
         if trace is not None:
             trace.append(("random", x, None, len(S)))
     return _resolve_small(oracle, S)

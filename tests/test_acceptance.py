@@ -67,7 +67,6 @@ def test_02_recovery_sound_for_every_shift():
             policy = sr.ProbePolicy(max_rounds=max(64, p))
             for e in divisors(p - 1):
                 params = fc.make_params(ctx, e)
-                wits = full_witness_set(ctx, params)
                 worst = dict.fromkeys(DETERMINISTIC + (1, 2, 3), 0)
                 for s in range(p):
                     for algorithm in DETERMINISTIC:
@@ -77,8 +76,8 @@ def test_02_recovery_sound_for_every_shift():
                         worst[algorithm] = max(worst[algorithm], o.calls)
                     for seed in (1, 2, 3):
                         o = new_oracle(ctx, params, s)
-                        S0 = sr.initial_candidates_zero_call(o, wits)
-                        assert sr.recover_randomized(o, S0, seed) == s, (p, e, s, seed)
+                        got = sr.recover(o, "randomized", policy, seed=seed)
+                        assert got == s, (p, e, s, seed)
                         worst[seed] = max(worst[seed], o.calls)
                 bound = sr.calls_bound(p, params.d)
                 assert min(worst.values()) >= bound, (p, e, bound, worst)
@@ -122,15 +121,14 @@ def test_04_randomized_mean_call_budget():
         for p, e in cells:
             ctx = fc.make_context(p)
             params = fc.make_params(ctx, e)
-            wits = full_witness_set(ctx, params)
             nu = sr.randomized_probe_count(p, e)
             rng = random.Random(p + e)
             total = 0
             for trial in range(200):
                 s = rng.randrange(p)
                 o = new_oracle(ctx, params, s)
-                S0 = sr.initial_candidates_zero_call(o, wits)
-                assert sr.recover_randomized(o, S0, seed=trial) == s, (p, e, s)
+                got = sr.recover(o, "randomized", seed=trial)
+                assert got == s, (p, e, s)
                 total += o.calls
             assert total / 200 <= nu + 4, (p, e, total / 200, nu)
 

@@ -442,6 +442,40 @@ def test_char_sum_shifted_power_envelope():
     assert abs(val) <= 2 * math.sqrt(13)
 
 
+def test_complete_char_sums_at_2_61_raise_at_once():
+    # a complete sum loops over all p field elements: at 2^61 - 1 it would
+    # never end, so it is TooLarge before the first term
+    ctx, params = ctx_params(MERSENNE_61, (MERSENNE_61 - 1) // 6)
+    match = f"p={MERSENNE_61} above loop cap"
+    with pytest.raises(TooLarge, match=match):
+        bl.char_sum_fraction_complete(ctx, params, 1, 5, 4)
+    with pytest.raises(TooLarge, match=match):
+        bl.char_sum_shifted_power(ctx, params, 1, 2, 1)
+
+
+def test_char_sums_run_up_to_the_loop_cap_in_terms(monkeypatch):
+    # h terms for the sums over 1..h and p for the complete sums: a sum of
+    # LOOP_CAP terms runs and one more term is TooLarge.  The cap is patched
+    # to p - 1 = 12, since a real sum of 10^8 terms takes minutes
+    ctx, params = ctx_params(13, 3)
+    sums = {
+        "fraction": lambda h: bl.char_sum_fraction(ctx, params, 1, 5, 4, h),
+        "interval": lambda h: bl.char_sum_interval(ctx, params, 1, h),
+    }
+    monkeypatch.setattr(bl, "LOOP_CAP", 12)
+    for name, run in sums.items():
+        run(12)
+        with pytest.raises(TooLarge, match="h=13 above loop cap"):
+            run(13)
+    with pytest.raises(TooLarge, match="p=13 above loop cap"):
+        bl.char_sum_fraction_complete(ctx, params, 1, 5, 4)
+    with pytest.raises(TooLarge, match="p=13 above loop cap"):
+        bl.char_sum_shifted_power(ctx, params, 1, 2, 1)
+    monkeypatch.setattr(bl, "LOOP_CAP", 13)
+    assert abs(bl.char_sum_fraction_complete(ctx, params, 1, 5, 4) + 1) < 1e-9
+    assert abs(bl.char_sum_shifted_power(ctx, params, 1, 2, 1)) <= 2 * math.sqrt(13)
+
+
 # --- smooth counts ---
 
 

@@ -549,6 +549,58 @@ def test_identity_exact_windows_beyond_the_old_caps():
     assert run_main(["identity", "--p", "1000000009", "--e", "8"]) == (4, "")
 
 
+def _recover_calls(argv):
+    code, out = run_main(["recover", *argv])
+    assert code == 0, argv
+    return [json.loads(line)["oracle_calls"] for line in out.splitlines()]
+
+
+@pytest.mark.parametrize(
+    "p, e, want",
+    [(100003, 50001, [17, 16, 17]), (1000003, 333334, [13, 13, 13])],
+    ids=["d2", "d3"],
+)
+def test_narrowing_of_whole_cosets_at_small_d_is_pinned(p, e, want):
+    # at d = 2 and d = 3 the zero-call seed is a whole coset t0*G_e, and
+    # round 1 evaluates one point per coset of G_e: the calls are those of a
+    # scan that evaluates every point
+    argv = ["--p", str(p), "--e", str(e), "--algorithm", "zero_call_narrow"]
+    assert _recover_calls([*argv, "--trials", "3", "--seed", "1"]) == want
+
+
+def test_smooth_narrowing_stays_within_e_plus_1_calls():
+    # the smooth pigeonhole queries x = 0, 1 with least-nonresidue
+    # witnesses: at p = 257, e = 2 no recovery may use more than the
+    # e + 1 = 3 calls of interpolation.  At s = 0, x = 0 answers 0 and
+    # leaves one candidate, so x = 1 is not queried: 1 call
+    argv = ["--p", "257", "--e", "2", "--algorithm", "smooth_narrow"]
+    calls = _recover_calls([*argv, "--trials", "5", "--seed", "1"])
+    assert len(calls) == 5 and max(calls) <= 3, calls
+    assert _recover_calls([*argv, "--s", "0"]) == [1]
+
+
+def test_identity_windows_are_capped_and_e_6_narrows_in_one_round_at_2_61():
+    # a theoretical identity window above LOOP_CAP (unknown t at
+    # e = (p-1)/2, h ~ 2.7e12) is a typed resource cap (exit 4) before any
+    # query; known t at e = 1001 runs with h = 8
+    p = str(2**61 - 1)
+    argv = ["identity", "--p", p, "--e", str((2**61 - 2) // 2), "--s", "5"]
+    assert run_main([*argv, "--mode", "theoretical"])[0] == 4
+    argv = ["identity", "--p", p, "--e", "1001", "--s", "5", "--t", "5"]
+    code, out = run_main([*argv, "--mode", "theoretical"])
+    row = json.loads(out)
+    assert (code, row["h"], row["verdict"]) == (0, 8, "equal")
+    # one narrowing round splits the 6 candidates of e = 6 into singletons:
+    # 2 calls, one "narrow" round
+    argv = ["recover", "--p", p, "--e", "6", "--algorithm", "zero_call_narrow"]
+    code, out = run_main([*argv, "--trials", "5", "--seed", "1"])
+    rows = [json.loads(line) for line in out.splitlines()]
+    assert code == 0 and len(rows) == 5
+    for r in rows:
+        assert r["oracle_calls"] == 2, r
+        assert {b[0] for b in r["phase_breakdown"]} == {"narrow"}, r
+
+
 def test_config_nan_epsilon_is_config_error(tmp_path, capsys):
     # json reads NaN, and identity takes no epsilon key at all
     cfg = tmp_path / "cfg.json"
