@@ -6,7 +6,7 @@ Subpackages:
  - root_solver: deterministic binomial-equation solvers
  - shift_recovery: shift-recovery algorithms and call benchmarking
  - identity_test: shifted-power identity testing (known and unknown t)
- - bounds_lab: exact brute-force counters for the combinatorial quantities
+ - bounds_lab: exact counters for the combinatorial quantities
  - cli: the `shiftbreak` experiment runner
 """
 

@@ -243,7 +243,7 @@ def spaced_partition(p: int, S, kappa: float) -> SpacedPartition:
     d_sets = []
     while True:
         cand = _greedy_maximal_spaced(remaining, U, p)
-        if len(cand) < need_d:
+        if not cand or len(cand) < need_d:
             centers = cand  # maximal: every leftover is within U of a center
             break
         d_sets.append(tuple(cand))
@@ -343,8 +343,9 @@ def char_sum_fraction_complete(
     ctx: PrimeContext, params: ExponentParams, j: int, s: int, t: int
 ) -> complex:
     """Complete sum over all x in F_p except x = -t; equals -1 for j != 0.
-    One pow per term (`character_sum`): 2.3 s at p = 1000003 (2-core Xeon
-    VM, Python 3.11); TooLarge where p > LOOP_CAP."""
+    One pow per term (`character_sum`): 2.2 s at p = 1000003 and about 4-5
+    minutes near p = LOOP_CAP (extrapolated, not run; 2-core Xeon VM,
+    Python 3.11); TooLarge where p > LOOP_CAP."""
     if ctx.p > LOOP_CAP:
         raise TooLarge(f"p={ctx.p} above loop cap")
     return character_sum(ctx, params, j, _fractions(ctx.p, s, t, range(ctx.p)))
@@ -364,7 +365,10 @@ def char_sum_interval(
 def char_sum_shifted_power(
     ctx: PrimeContext, params: ExponentParams, j: int, f: int, a: int
 ) -> complex:
-    """Sum over x in F_p of chi_j(x^f + a); TooLarge where p > LOOP_CAP."""
+    """Sum over x in F_p of chi_j(x^f + a), for f >= 0 (x = 0 has no
+    negative power): OutOfRange where f < 0; TooLarge where p > LOOP_CAP."""
+    if f < 0:
+        raise OutOfRange(f"f={f} must be non-negative")
     if j % params.d == 0:
         raise PrincipalCharacter("j must be nonprincipal")
     p = ctx.p

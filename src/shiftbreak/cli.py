@@ -325,7 +325,7 @@ FLAGS = {
     "trials": {"type": int, "default": 1},
     "output": {"choices": ("json", "csv", "table"), "default": "json"},
     "grid": {},
-    "mode": {"choices": ("exact", "theoretical"), "default": it.HPolicy.mode},
+    "mode": {"choices": it.MODES, "default": it.HPolicy.mode},
     "lemma": {},
     "timing": {"action": "store_true", "default": False},
 }

@@ -229,10 +229,10 @@ def character_sum(ctx: PrimeContext, params: ExponentParams, j: int, values) -> 
     chi_j(0) = 0.  These d characters are exactly those trivial on G_e, so
     chi_j(v) reads ind(v) mod d = table[v^e] (`build_index_table`): the
     values are counted by class, then one root of unity is added per class.
-    Cost: the O(d) table once per (p, e) and one pow per value, so a sum
-    over the field near p = 10^6 takes 3.4-3.8 s, up to 25% more than with
-    a p-entry index (2-core Xeon VM, Python 3.11).  TooLarge above
-    d = EXHAUSTIVE_CAP.
+    Cost: the O(d) table once per (p, e) and one pow per value, so a
+    complete sum (`bounds_lab.char_sum_fraction_complete`) takes 2.2 s at
+    p = 1000003 and about 4-5 minutes near p = LOOP_CAP (extrapolated, not
+    run; 2-core Xeon VM, Python 3.11).  TooLarge above d = EXHAUSTIVE_CAP.
     """
     p, e, d = ctx.p, params.e, params.d
     table = build_index_table(ctx, params)

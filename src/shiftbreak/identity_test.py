@@ -39,14 +39,16 @@ EPSILON = 0.05
 # Known-t probes held per (p, e, h) by known_t_plan, and the entries kept.
 PLAN_CAP = 1024
 PLAN_CACHE = 64
+# The window modes: exact counts, or the closed forms at EPSILON.
+MODES = ("exact", "theoretical")
 
 
 @dataclass(frozen=True)
 class HPolicy:
-    mode: str = "exact"  # exact | theoretical
+    mode: str = "exact"  # one of MODES
 
     def __post_init__(self):
-        if self.mode not in ("exact", "theoretical"):
+        if self.mode not in MODES:
             raise ConfigError(f"unknown mode {self.mode!r}")
 
 
@@ -92,8 +94,13 @@ def window(p: int, e: int, variant: str, mode: str) -> int:
     unknown t at 2^61 - 1 and e = (p - 1)/2 asks for h = 2,714,722,608,904.
     Computed once per (p, e, variant, mode) and cached on plain integers
     and strings, so a warm test hashes no dataclass; errors are raised
-    again on every call.
+    again on every call.  ConfigError, before any work, for a variant other
+    than "known_t" or "unknown_t" or a mode not in MODES.
     """
+    if variant not in ("known_t", "unknown_t"):
+        raise ConfigError(f"unknown variant {variant!r}")
+    if mode not in MODES:
+        raise ConfigError(f"unknown mode {mode!r}")
     if e > (p - 1) // 2:
         raise RangeViolation(f"e={e} exceeds (p-1)/2")
     if mode == "exact":

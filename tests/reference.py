@@ -1,7 +1,13 @@
-"""Brute-force references shared by the test modules."""
+"""Brute-force references shared by the test modules, and the one launcher
+of bounded subprocesses."""
 
 import itertools
 import math
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 from shiftbreak import field_core as fc
 from shiftbreak.shift_recovery import calls_bound
@@ -141,3 +147,29 @@ def greedy_round(p, e, S, window):
         if h >= p - 1:
             raise ValueError("no point splits S")
         h = min(2 * h, p - 1)
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def run_python(args, timeout, address_space=None):
+    """`python args` in a subprocess run from the repository root that
+    imports shiftbreak from `src/`, its output captured as text.  It is
+    killed after `timeout` seconds (subprocess.TimeoutExpired) and, given
+    `address_space` bytes, cannot map more, so a missing cap fails the test
+    rather than hanging it or exhausting the machine."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(ROOT / "src"), env.get("PYTHONPATH"))))
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (address_space, address_space))
+
+    return subprocess.run(
+        [sys.executable, *args],
+        cwd=ROOT,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=timeout,
+        preexec_fn=None if address_space is None else limit,
+    )

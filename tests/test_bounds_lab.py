@@ -1,10 +1,6 @@
 import math
-import os
 import random
-import subprocess
-import sys
 import time
-from pathlib import Path
 
 import pytest
 
@@ -29,6 +25,7 @@ from reference import (
     naive_index,
     naive_J,
     primes_below,
+    run_python,
 )
 
 MERSENNE_61 = 2**61 - 1
@@ -371,17 +368,28 @@ def test_check_spaced_partition_raises_a_typed_error():
 
 def test_check_spaced_partition_survives_optimized_mode():
     # `python -O` strips assert statements; the checks must not depend on them
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
-    out = subprocess.run(
-        [sys.executable, "-O", "-c", BAD_PARTITION_SCRIPT],
-        capture_output=True,
-        text=True,
-        env=env,
-        timeout=60,
-    )
+    out = run_python(["-O", "-c", BAD_PARTITION_SCRIPT], 60)
     assert out.stdout == "partition does not cover S\n", out.stderr
+
+
+# the partition of the empty set at each (p, kappa), checked: one line each
+EMPTY_PARTITION_SCRIPT = """
+from shiftbreak import bounds_lab as bl
+empty = bl.SpacedPartition(d_sets=(), e_sets=(), leftover=())
+for p in (37, 1009):
+    for kappa in (0.0, 0.25, 1.0):
+        part = bl.spaced_partition(p, [], kappa)
+        bl.check_spaced_partition(p, [], kappa, part)
+        print(part == empty)
+"""
+
+
+def test_spaced_partition_of_the_empty_set_is_empty():
+    # an empty greedy set ends the search for D-sets: the empty set has
+    # none.  In a subprocess under 1 GiB and 20 s, so that an endless loop
+    # fails the test, not the machine
+    out = run_python(["-c", EMPTY_PARTITION_SCRIPT], 20, address_space=2**30)
+    assert out.stdout == "True\n" * 6, out.stderr
 
 
 def test_spaced_partition_rejects_small_modulus():
@@ -440,6 +448,15 @@ def test_char_sum_shifted_power_envelope():
     ctx, params = ctx_params(13, 3)
     val = bl.char_sum_shifted_power(ctx, params, 1, 2, 1)
     assert abs(val) <= 2 * math.sqrt(13)
+
+
+def test_char_sum_shifted_power_rejects_a_negative_f():
+    # x = 0 has no negative power: OutOfRange before any term, also where
+    # the sum would be TooLarge
+    for p, e in ((3, 1), (13, 3), (MERSENNE_61, (MERSENNE_61 - 1) // 6)):
+        ctx, params = ctx_params(p, e)
+        with pytest.raises(OutOfRange, match="f=-1"):
+            bl.char_sum_shifted_power(ctx, params, 1, -1, 1)
 
 
 def test_complete_char_sums_at_2_61_raise_at_once():

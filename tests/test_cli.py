@@ -1,17 +1,14 @@
 import argparse
 import io
 import json
-import os
-import resource
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
 from shiftbreak import cli
 from shiftbreak import identity_test as it
 from shiftbreak import shift_recovery as sr
+
+from reference import run_python
 
 
 def run_main(argv):
@@ -687,37 +684,19 @@ def test_identity_factors_p_minus_1_once(monkeypatch):
 
 
 def test_console_script_installed():
-    out = subprocess.run(
-        [sys.executable, "-m", "shiftbreak.cli", "recover", "--p", "13", "--e", "3", "--s", "5"],
-        capture_output=True,
-        text=True,
-    )
+    out = run_python(["-m", "shiftbreak.cli", "recover", "--p", "13", "--e", "3", "--s", "5"], 60)
     assert out.returncode == 0
     assert json.loads(out.stdout.strip())["recovered"] == 5
 
 
-def _limit_address_space_to_1_gib():
-    resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
-
-
 def _run_cli_under_1_gib(argv, python_args=("-m", "shiftbreak.cli")):
     """`shiftbreak argv` (or `python python_args argv`) in a subprocess with
-    1 GiB of address space and a 60 s bound, so that a missing cap fails
-    the test, not the machine."""
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
-    return subprocess.run(
-        [sys.executable, *python_args, *argv],
-        capture_output=True,
-        text=True,
-        env=env,
-        timeout=60,
-        preexec_fn=_limit_address_space_to_1_gib,
-    )
+    1 GiB of address space and a 60 s bound."""
+    return run_python([*python_args, *argv], 60, address_space=2**30)
 
 
 M61 = str(2**61 - 1)
+RHO_PRIME = 1126844094631811327
 ABOVE_THE_CAP = [
     # e = (p-1)/2 is a 39-bit prime: each algorithm stops with a typed
     # resource cap, not a MemoryError (exit 1) or e + 1 queries
@@ -734,6 +713,19 @@ ABOVE_THE_CAP = [
          "theoretical", "--seed", "0", "--s", "888315200261588941"],
         id="identity_unknown_t_half_group",
     ),
+    # e = 1000001 is just above EXHAUSTIVE_CAP: the large_e scan stops at the
+    # same e cap as the other algorithms, not with a table over the field
+    pytest.param(
+        ["recover", "--p", "2000003", "--e", "1000001", "--algorithm", "large_e"],
+        id="large_e_just_above_the_e_cap",
+    ),
+    # at the rho prime, e = (p-1)/2 = 527608327*1067879369 is above the e cap
+    # of the exact known-t window
+    pytest.param(
+        ["identity", "--p", str(RHO_PRIME), "--e", str((RHO_PRIME - 1) // 2),
+         "--s", "5", "--t", "5"],
+        id="identity_known_t_rho_prime_half_group",
+    ),
 ]
 
 
@@ -743,6 +735,18 @@ def test_e_above_the_cap_exits_4_under_1_gib(argv):
     assert out.returncode == 4, out.stderr
     assert out.stdout == ""
     assert out.stderr.startswith("resource cap:"), out.stderr
+
+
+def test_known_t_window_past_the_plan_cap_under_1_gib():
+    # at 2^61 - 1 and e = 11009324469 = 3*11*13*31*41*61*331 the theoretical
+    # known-t window is ceil(e^0.3) = 1030 > PLAN_CAP probes, so an equal
+    # pair runs the uncached tail of the probes, in bounded memory
+    assert it.PLAN_CAP < 1030
+    argv = ["identity", "--p", M61, "--e", "11009324469", "--s", "5", "--t", "5"]
+    out = _run_cli_under_1_gib([*argv, "--mode", "theoretical"])
+    assert out.returncode == 0, out.stderr
+    row = json.loads(out.stdout)
+    assert (row["verdict"], row["h"]) == ("equal", 1030)
 
 
 # Runs every subcommand on one (p, e) cell through `cli.main`, and prints
@@ -765,7 +769,6 @@ for argv in commands:
 """
 
 SAFE_PRIMES = (1099511627339, 140737488356903, 1152921504606843299)
-RHO_PRIME = 1126844094631811327
 SWEEP_CELLS = (
     [(3, 1), (3, 2)]
     + [(p, e) for p in SAFE_PRIMES for e in (2, (p - 1) // 2)]

@@ -7,6 +7,7 @@ from shiftbreak import field_core as fc
 from shiftbreak import identity_test as it
 from shiftbreak import bounds_lab as bl
 from shiftbreak.errors import (
+    ConfigError,
     MismatchedParams,
     OutOfRange,
     RangeViolation,
@@ -129,6 +130,22 @@ def test_choose_h_range_violation():
     params = fc.make_params(ctx, 12)
     with pytest.raises(RangeViolation):
         it.choose_h(ctx, params, "known_t", it.HPolicy())
+
+
+@pytest.mark.parametrize(
+    "variant, mode",
+    [("nope", "exact"), ("known_t", "bogus"), ("nope", "bogus")],
+    ids=["variant", "mode", "both"],
+)
+def test_window_rejects_an_unknown_name_and_caches_nothing(variant, mode):
+    # the names are checked before any work, so a bad one is neither read
+    # as another name nor cached
+    size = it.window.cache_info().currsize
+    with pytest.raises(ConfigError, match="unknown"):
+        it.window(1009, 36, variant, mode)
+    assert it.window.cache_info().currsize == size
+    with pytest.raises(ConfigError, match="unknown mode"):
+        it.HPolicy(mode="bogus")
 
 
 def test_known_t_examples():

@@ -1,11 +1,7 @@
 import collections
 import hashlib
 import math
-import os
 import random
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
@@ -16,7 +12,7 @@ from shiftbreak.errors import ConfigError, ForbiddenInput, Stalled, TooLarge
 from shiftbreak.oracle import ShiftOracle, new_oracle
 from shiftbreak.root_solver import full_witness_set
 
-from reference import divisors, greedy_round, optimal_worst_calls, primes_below
+from reference import divisors, greedy_round, optimal_worst_calls, primes_below, run_python
 
 PRIMES = [5, 7, 11, 13, 17, 19, 23, 29, 31, 41, 61]
 
@@ -731,16 +727,7 @@ def test_large_e_caps_its_first_window_at_d2():
     # the m = 6 scan calls at once.  In a subprocess with a 60 s bound, so
     # that a missing cap fails the test rather than scanning for minutes.
     assert sr.large_e_call_count(100003, 50001) == 6
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
-    out = subprocess.run(
-        [sys.executable, "-c", LARGE_E_CAP_SCRIPT],
-        capture_output=True,
-        text=True,
-        env=env,
-        timeout=60,
-    )
+    out = run_python(["-c", LARGE_E_CAP_SCRIPT], 60)
     assert out.stdout == "6\n", out.stderr
 
 
@@ -764,16 +751,7 @@ def test_large_e_recovers_within_a_wall_bound_at_d2():
     # stops at the first point of its wide window whose largest answer class
     # is the least possible, so 5 recoveries take about a second, not the
     # minutes of a scan that evaluates the whole window
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
-    out = subprocess.run(
-        [sys.executable, "-c", LARGE_E_WALL_SCRIPT],
-        capture_output=True,
-        text=True,
-        env=env,
-        timeout=30,
-    )
+    out = run_python(["-c", LARGE_E_WALL_SCRIPT], 30)
     assert out.returncode == 0, out.stderr
     calls = [int(line) for line in out.stdout.split()]
     assert len(calls) == 5 and max(calls) <= 15, calls
