@@ -25,8 +25,8 @@ from .errors import NotDividing, NotPrime, Overflow, TooLarge
 MAX_P = 2**61
 # Largest e for the routines that walk G_e or make e + 1 queries: the e-th
 # root sets, the interpolation baseline, the longest coset run and the list
-# of G_e.  Also the largest d for the index table of the characters, and the
-# largest p for the dense power table.
+# of G_e.  Also the largest d for the index table of the characters, the
+# largest p for the dense power table, and the entries of a lab product table.
 EXHAUSTIVE_CAP = 10**6
 # Largest number of steps for the loops whose cost is a stated product: the
 # lab's boxes, the exhaustive identity window and a narrowing window's pows.

@@ -62,6 +62,32 @@ def naive_J(p, nu, lam, s, h):
     )
 
 
+def naive_product_set(p, nu, s, t, h):
+    if t is None:
+        base = [(x + s) % p for x in range(1, h + 1)]
+    else:
+        base = [
+            (x + s) * pow(x + t, -1, p) % p
+            for x in range(1, h + 1)
+            if (x + t) % p != 0
+        ]
+    if not base:
+        return 0
+    return len({math.prod(c) % p for c in itertools.product(base, repeat=nu)})
+
+
+def naive_run_scan(p, e):
+    """The longest coset run by the dense scan over x = 1..p-1, where x^e
+    names the coset of x (the table is built locally, so none stays in
+    power_table's cache)."""
+    tab = [pow(x, e, p) for x in range(p)]
+    best = run = 1
+    for x in range(2, p):
+        run = run + 1 if tab[x] == tab[x - 1] else 1
+        best = max(best, run)
+    return best
+
+
 def known_t_reference(oracle, t, h):
     """The known-t tester's per-probe loop: probe x = 1/y - t for y = 1..h,
     computing the inverse and the local power (1/y)^e on every probe."""

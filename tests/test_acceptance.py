@@ -18,7 +18,15 @@ from shiftbreak import shift_recovery as sr
 from shiftbreak.oracle import new_oracle
 from shiftbreak.root_solver import all_eth_roots, full_witness_set
 
-from reference import divisors, naive_energy, naive_hyperbola, naive_J, primes_below
+from reference import (
+    divisors,
+    naive_energy,
+    naive_hyperbola,
+    naive_J,
+    naive_product_set,
+    naive_run_scan,
+    primes_below,
+)
 
 CALL_THRESHOLD = 24  # policy constant for the efficiency criterion
 
@@ -159,15 +167,6 @@ def test_05_identity_testers_exhaustive():
                         assert (got == it.EQUAL) == (s == t), (p, e, s, t)
 
 
-def naive_run_scan(p, e):
-    ids = [pow(x, e, p) for x in range(p)]
-    best = run = 1
-    for x in range(2, p):
-        run = run + 1 if ids[x] == ids[x - 1] else 1
-        best = max(best, run)
-    return best
-
-
 def test_06_coset_run_lengths():
     with criterion("06 coset-run lengths: anchors and N(e) <= e up to p = 2000"):
         anchors = [((13, 3), 2), ((13, 6), 4), ((13, 1), 1)]
@@ -193,22 +192,6 @@ def test_06_coset_run_lengths():
             f"[ACCEPT]   max N(e)/e^0.5 = {ratio_half:.3f}, "
             f"max N(e)/e^0.25 = {ratio_quarter:.3f} (reported, not asserted)"
         )
-
-
-def naive_product_set(p, nu, s, t, h):
-    import itertools
-
-    if t is None:
-        base = [(x + s) % p for x in range(1, h + 1)]
-    else:
-        base = [
-            (x + s) * pow(x + t, -1, p) % p
-            for x in range(1, h + 1)
-            if (x + t) % p != 0
-        ]
-    if not base:
-        return 0
-    return len({math.prod(c) % p for c in itertools.product(base, repeat=nu)})
 
 
 def naive_intersection(p, e, shifts):

@@ -24,6 +24,8 @@ from reference import (
     naive_hyperbola,
     naive_index,
     naive_J,
+    naive_product_set,
+    naive_run_scan,
     primes_below,
     run_python,
 )
@@ -83,17 +85,6 @@ def test_coset_run_matches_naive():
             assert bl.longest_coset_run(*ctx_params(p, e)) == naive_coset_run(p, e)
 
 
-def power_table_coset_run(p, e):
-    """Reference: the dense scan over x = 1..p-1, where x^e names the coset
-    of x (the table is built locally, so none stays in power_table's cache)."""
-    tab = [pow(x, e, p) for x in range(p)]
-    best = run = 1
-    for x in range(2, p):
-        run = run + 1 if tab[x] == tab[x - 1] else 1
-        best = max(best, run)
-    return best
-
-
 def separate_inverse_coset_run(ctx, params):
     """Reference for large p: the link set C built with one inversion per
     element, its runs walked from every element."""
@@ -115,13 +106,13 @@ def test_coset_run_matches_power_table_scan():
         ctx = fc.make_context(p)
         for e in divisors(p - 1):
             got = bl.longest_coset_run(ctx, fc.make_params(ctx, e))
-            assert got == power_table_coset_run(p, e), (p, e)
+            assert got == naive_run_scan(p, e), (p, e)
 
 
 def test_coset_run_large_p_anchors(no_field_table):
     ctx, params = ctx_params(1000003, 166667)
     assert bl.longest_coset_run(ctx, params) == 7
-    assert power_table_coset_run(1000003, 166667) == 7
+    assert naive_run_scan(1000003, 166667) == 7
     for p, e, want in ((1000003, 6, 2), (MERSENNE_61, 150, 2), (MERSENNE_61, 1001, 2)):
         ctx, params = ctx_params(p, e)
         assert bl.longest_coset_run(ctx, params) == want, (p, e)
@@ -159,6 +150,27 @@ def test_hyperbola_matches_naive_random():
         assert bl.hyperbola_count(p, u, v, H) == naive_hyperbola(p, u, v, H)
 
 
+def test_hyperbola_counts_every_y_past_p():
+    # once H >= p every y = y0 mod p in [1, H] solves, not only the least;
+    # J at nu = 2 counts the same tuples
+    assert bl.hyperbola_count(13, 0, 1, 20) == 29
+    assert bl.hyperbola_count(13, 2, 5, 30) == 66
+    assert bl.hyperbola_count(7, 1, 3, 15) == 28
+    for p in (3, 5, 7, 13):
+        ctx = fc.make_context(p)
+        for u in range(p):
+            for v in range(1, p):
+                for H in range(1, 2 * p + 3):
+                    want = naive_hyperbola(p, u, v, H)
+                    assert bl.hyperbola_count(p, u, v, H) == want, (p, u, v, H)
+                    assert bl.product_count_J(ctx, 2, v, u, H) == want, (p, u, v, H)
+
+
+# Boxes up to h = 2p + 2 wrap around the field twice, so some residues occur
+# three times and some twice.
+WRAPPING_BOXES = [(p, h) for p in (3, 5, 7) for h in range(1, 2 * p + 3)]
+
+
 # --- multiplicative_energy_count ---
 
 
@@ -174,6 +186,12 @@ def test_energy_matches_naive_random():
         p = rng.choice([13, 29, 31, 61])
         a, H = rng.randrange(p), rng.randrange(1, 9)
         assert bl.multiplicative_energy_count(p, a, H) == naive_energy(p, a, H)
+
+
+def test_energy_matches_naive_past_p():
+    for p, H in WRAPPING_BOXES:
+        for a in range(p):
+            assert bl.multiplicative_energy_count(p, a, H) == naive_energy(p, a, H)
 
 
 def test_box_counters_cap_their_loops():
@@ -263,6 +281,36 @@ def test_J_matches_naive_random():
         assert bl.product_count_J(ctx, nu, lam, s, h) == naive_J(p, nu, lam, s, h)
 
 
+def test_J_matches_naive_past_p():
+    # every lambda, 0 included, and every shift
+    for p, h in WRAPPING_BOXES:
+        ctx = fc.make_context(p)
+        for nu in (1, 2, 3):
+            for s in range(p):
+                for lam in range(p):
+                    want = naive_J(p, nu, lam, s, h)
+                    assert bl.product_count_J(ctx, nu, lam, s, h) == want, (p, nu, lam, s, h)
+
+
+def ordered_factorizations(n, k, h):
+    """Tuples in [1, h]^k whose integer product is n."""
+    if k == 0:
+        return int(n == 1)
+    return sum(
+        ordered_factorizations(n // d, k - 1, h)
+        for d in range(1, min(n, h) + 1)
+        if n % d == 0
+    )
+
+
+def test_J_at_its_largest_table():
+    # nu = 4, h = 100 is the largest (nu - 1)-fold table under h^nu <= LOOP_CAP:
+    # 171,700 entries at most.  At 2^61 - 1 the products do not wrap, so J
+    # counts the ordered factorizations of lambda
+    ctx = fc.make_context(MERSENNE_61)
+    assert bl.product_count_J(ctx, 4, 720, 0, 100) == ordered_factorizations(720, 4, 100)
+
+
 def test_J_at_lambda_zero_matches_naive():
     # h^nu - (h - z)^nu: no zero factor (z = 0), one (x = p - s <= h), and
     # several once h passes p; lambda = p is lambda = 0 too
@@ -306,8 +354,6 @@ def test_product_counters_need_a_positive_box(nu, h):
 
 
 def test_product_set_matches_naive_random():
-    import itertools
-
     rng = random.Random(23)
     for _ in range(30):
         p = rng.choice([13, 29, 61])
@@ -317,18 +363,35 @@ def test_product_set_matches_naive_random():
         fractional = rng.random() < 0.5
         t = (s + rng.randrange(1, p)) % p if fractional else None
         h = rng.randrange(1, 8)
-        if t is None:
-            base = [(x + s) % p for x in range(1, h + 1)]
-        else:
-            base = [
-                (x + s) * pow(x + t, -1, p) % p
-                for x in range(1, h + 1)
-                if (x + t) % p != 0
-            ]
-        expect = len(
-            {math.prod(c) % p for c in itertools.product(base, repeat=nu)}
-        ) if base else 0
+        expect = naive_product_set(p, nu, s, t, h)
         assert bl.product_set_size(ctx, nu, s, t, h) == expect
+
+
+def test_product_set_matches_naive_past_p():
+    # plain and every fractional base
+    for p, h in WRAPPING_BOXES:
+        ctx = fc.make_context(p)
+        for nu in (1, 2, 3):
+            for s in range(p):
+                for t in (None, *(x for x in range(p) if x != s)):
+                    want = naive_product_set(p, nu, s, t, h)
+                    assert bl.product_set_size(ctx, nu, s, t, h) == want, (p, nu, s, t, h)
+
+
+def test_product_tables_cap_their_entries():
+    # a k-fold table of n factors holds at most min(comb(n + k - 1, k), p)
+    # entries; past EXHAUSTIVE_CAP = 10^6 it is TooLarge before any work.
+    # At 2^61 - 1 that is H >= 1414 for energy (k = 2), and h > 10^6, h >= 1414,
+    # h >= 181 and h >= 69 for product sets at nu = 1, 2, 3, 4
+    ctx = fc.make_context(MERSENNE_61)
+    start = time.perf_counter()
+    with pytest.raises(TooLarge, match="^1000405 product-table entries above"):
+        bl.multiplicative_energy_count(MERSENNE_61, 0, 1414)
+    for nu, h in ((1, 10**6 + 1), (2, 1414), (3, 181), (4, 69)):
+        for t in (None, 4):
+            with pytest.raises(TooLarge, match="product-table entries above"):
+                bl.product_set_size(ctx, nu, 1, t, h)
+    assert time.perf_counter() - start < 1.0
 
 
 # --- spaced_partition ---

@@ -130,6 +130,17 @@ def test_lab_inline_and_grid(tmp_path):
             {"p": 1000003, "e": 500001, "shifts": [[1, mu] for mu in range(1, 201)]},
             id="subgroup_shift-200-shifts",
         ),
+        # H^2 = h^nu = 10^8 steps is at the loop cap, but at 2^61 - 1 the
+        # 2-fold product table of 10^4 factors could hold 5 * 10^7 entries,
+        # above EXHAUSTIVE_CAP
+        pytest.param(
+            "energy", {"p": 2**61 - 1, "a": 0, "H": 10**4}, id="energy-table-above-the-entry-cap"
+        ),
+        pytest.param(
+            "product_set",
+            {"p": 2**61 - 1, "nu": 2, "s": 0, "h": 10**4},
+            id="product_set-table-above-the-entry-cap",
+        ),
     ],
 )
 def test_lab_cell_above_a_cap_is_a_skipped_row(tmp_path, lemma, cell):
@@ -139,6 +150,39 @@ def test_lab_cell_above_a_cap_is_a_skipped_row(tmp_path, lemma, cell):
     assert out.returncode == 0, out.stderr
     row = json.loads(out.stdout)
     assert "above" in row["skipped"] and "exact_count" not in row
+
+
+@pytest.mark.parametrize(
+    "lemma, cell, count, seconds",
+    [
+        # nu = 1: the table of the first nu - 1 factors is {1: 1}, so J reads
+        # the one x = lambda - s off the box of 10^8 at once
+        pytest.param(
+            "product_J",
+            {"p": 2**61 - 1, "nu": 1, "lam": 5, "s": 0, "h": 10**8},
+            1,
+            10,
+            id="product_J-nu1-h1e8-without-a-table",
+        ),
+        # H(H + 1)/2 = 998,991 table entries, just inside EXHAUSTIVE_CAP.
+        # With a > H^2 the products do not wrap and (a + x1)(a + x2) fixes
+        # {x1, x2}, so only the 2H^2 - H trivial quadruples count
+        pytest.param(
+            "energy",
+            {"p": 2**61 - 1, "a": 10**9 + 7, "H": 1413},
+            2 * 1413**2 - 1413,
+            60,
+            id="energy-H1413-just-inside-the-entry-cap",
+        ),
+    ],
+)
+def test_lab_cell_inside_its_caps_counts_under_1_gib(tmp_path, lemma, cell, count, seconds):
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps([cell]))
+    argv = ["-m", "shiftbreak.cli", "lab", "--lemma", lemma, "--grid", str(grid)]
+    out = run_python(argv, seconds, address_space=2**30)
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout)["exact_count"] == count
 
 
 def test_lab_empty_grid(tmp_path):
