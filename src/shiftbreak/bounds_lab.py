@@ -120,20 +120,22 @@ def _products(p: int, base, k: int, n: int | None = None) -> dict[int, int]:
 
 
 def hyperbola_count(p: int, u: int, v: int, H: int) -> int:
-    """Solutions of (x+u)(y+u) = v with 1 <= x, y <= H: each x fixes y mod p.
-    H steps in O(1) memory, 1.0-1.6 s at H = 10^6 and so 2-3 minutes at
-    LOOP_CAP (extrapolated; 2-core Xeon VM, Python 3.11); TooLarge above."""
+    """Solutions of (x+u)(y+u) = v with 1 <= x, y <= H: each residue x fixes
+    y mod p, and a hit counts the x and the y of [1, H] in those residues.
+    min(H, p) steps in O(1) memory, 1.0-1.6 s at 10^6 steps and so 2-3
+    minutes at LOOP_CAP (extrapolated; 2-core Xeon VM, Python 3.11);
+    TooLarge above H = LOOP_CAP."""
     _check_prime(p)
     if v % p == 0:
         raise BadV("v must be invertible")
     if H > LOOP_CAP:
         raise TooLarge(f"H={H} above loop cap")
     count = 0
-    for x in range(1, H + 1):
+    for x in range(1, min(H, p) + 1):
         if xu := (x + u) % p:
             y = (v * pow(xu, -1, p) - u) % p or p  # the least y >= 1
             if y <= H:
-                count += _in_box(y, p, H)
+                count += _in_box(x, p, H) * _in_box(y, p, H)
     return count
 
 
@@ -171,6 +173,22 @@ def subgroup_shift_intersection(
     return len(inter)
 
 
+def _check_steps(nu: int, h: int) -> None:
+    """OutOfRange unless nu, h >= 1; TooLarge where the h^nu steps of a product
+    table pass LOOP_CAP.  At h >= 2 any nu of LOOP_CAP's bit length passes it
+    (2^27 > 10^8), so h^nu is only built below that.  At h = 1 the table takes
+    about nu steps, 3.6-4.8 s at nu = 10^7 and so under a minute at LOOP_CAP
+    (extrapolated; 2-core Xeon VM, Python 3.11): TooLarge above nu = LOOP_CAP."""
+    if nu < 1 or h < 1:
+        raise OutOfRange(f"nu={nu} and h={h} must be at least 1")
+    if h == 1:
+        above = nu > LOOP_CAP
+    else:
+        above = nu >= LOOP_CAP.bit_length() or h**nu > LOOP_CAP
+    if above:
+        raise TooLarge(f"h={h} to the power nu={nu} above loop cap")
+
+
 def product_count_J(
     ctx: PrimeContext, nu: int, lam: int, s: int, h: int
 ) -> int:
@@ -178,12 +196,10 @@ def product_count_J(
     exactly when a factor is, so lambda = 0 counts h^nu - (h - z)^nu, z the x in
     [1, h] with x + s = 0.  Any other lambda fixes x_nu = lambda/v - s for each
     product v != 0 of the first nu - 1 factors: at most h^nu steps, TooLarge above
-    LOOP_CAP, so at most 171,700 table entries.  OutOfRange unless nu, h >= 1."""
+    LOOP_CAP (`_check_steps`), so at most 171,700 table entries.  OutOfRange
+    unless nu, h >= 1."""
     p = ctx.p
-    if nu < 1 or h < 1:
-        raise OutOfRange(f"nu={nu} and h={h} must be at least 1")
-    if h**nu > LOOP_CAP:
-        raise TooLarge(f"h^nu = {h**nu} above loop cap")
+    _check_steps(nu, h)
     if lam % p == 0:
         return h**nu - (h - _in_box(-s, p, h)) ** nu
     head = _products(p, range(s + 1, s + h + 1), nu - 1)  # x_1 .. x_(nu-1)
@@ -194,14 +210,12 @@ def product_set_size(
     ctx: PrimeContext, nu: int, s: int, t: int | None, h: int
 ) -> int:
     """|A^(nu)| for A = {x+s : 1<=x<=h} or {(x+s)/(x+t) : 1<=x<=h, x != -t},
-    the size of A's nu-fold product table.  At most h^nu steps, TooLarge above
-    LOOP_CAP or where the table could pass EXHAUSTIVE_CAP entries (p > 10^6,
-    from h = 10^6 + 1, 1414, 181, 69 at nu = 1-4).  OutOfRange unless nu, h >= 1."""
+    the size of A's nu-fold product table.  At most h^nu steps: TooLarge above
+    LOOP_CAP (`_check_steps`) or where the table could pass EXHAUSTIVE_CAP
+    entries (p > 10^6, from h = 10^6 + 1, 1414, 181, 69 at nu = 1-4).
+    OutOfRange unless nu, h >= 1."""
     p = ctx.p
-    if nu < 1 or h < 1:
-        raise OutOfRange(f"nu={nu} and h={h} must be at least 1")
-    if h**nu > LOOP_CAP:
-        raise TooLarge(f"h^nu = {h**nu} above loop cap")
+    _check_steps(nu, h)
     xs = range(1, h + 1)
     base = range(s + 1, s + h + 1) if t is None else _fractions(p, s, t, xs)
     return len(_products(p, base, nu, h))

@@ -24,8 +24,7 @@ class that holds the answer, and rounds repeat until one candidate is left.
 That is adaptive search with (d + 1)-ary answers, one call per round.  On a
 whole zero-call coset S = t0*G_e (the first round of zero-call narrowing)
 points x and x*w, w in G_e, give S the same classes, and a round evaluates
-only the first point of each coset of G_e.  A window segment costs |S|
-exponentiations per point.
+only the first point of each coset of G_e.
 
 A trace is a plain list: ("narrow", x, size before, size after) per
 narrowing round, ("random", x, None, size after) per randomized draw, and
@@ -41,7 +40,7 @@ import itertools
 import math
 import operator
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .errors import ConfigError, Stalled, TooLarge
 from .field_core import EXHAUSTIVE_CAP, LOOP_CAP, ExponentParams, PrimeContext
@@ -55,12 +54,12 @@ from .root_solver import (
 )
 
 STALL_FACTOR = 2  # a probe window that certifies no shrinkage grows by this
+INITIAL_WINDOW = 4  # points in a narrowing round's first window (large_e: h)
 
 
 @dataclass(frozen=True)
 class ProbePolicy:
     max_rounds: int = 64
-    initial_window: int = 4
 
 
 def interpolation_recover(oracle: ShiftOracle) -> int:
@@ -166,7 +165,7 @@ def collision_stat_R(
 def narrow_candidates(
     oracle: ShiftOracle,
     S: tuple[int, ...],
-    policy: ProbePolicy,
+    window: int = INITIAL_WINDOW,
     trace: list | None = None,
     agreed: set[int] | None = None,
 ) -> tuple[int, ...]:
@@ -178,8 +177,10 @@ def narrow_candidates(
     point splits S, and ties go to the smallest x.  An answer is 0 or one
     of the d-th roots of unity, and only t = -x predicts 0, so no class is
     below ceil((|S| - 1)/d): the scan stops at the first point reaching it.
-    A window segment costs |S| pow calls per point; TooLarge before a
-    segment whose bound, counted over every point in it, passes LOOP_CAP.
+    A segment costs |S| pow calls per point.  The first window, `window`
+    points, is capped at p - 1 and LOOP_CAP // |S|; TooLarge before a doubled
+    segment whose bound passes LOOP_CAP.  Rounds scanning whole capped windows
+    cost minutes (large_e at p = 1000003, d = 2: 105-292 s a recovery).
 
     `agreed` holds points at which every member of S is known to predict the
     same answer: such a point is one class and never splits S, so it is
@@ -197,7 +198,7 @@ def narrow_candidates(
     cap = p - 1
     size = len(S)
     least = -(-(size - 1) // params.d)
-    h = min(max(policy.initial_window, 1), cap)
+    h = max(min(window, cap, LOOP_CAP // size), 1)
     if agreed is None:
         agreed = set()
     # 0 agreed and |S| = e: S = S*w for w in G_e
@@ -254,13 +255,15 @@ def recover_from_candidates(
     policy: ProbePolicy = ProbePolicy(),
     trace: list | None = None,
     agreed=(),
+    window: int = INITIAL_WINDOW,
 ) -> int:
     """Narrowing rounds until one candidate is left, one call each.
 
-    `agreed` lists the points S0 was built from (every member predicts the
-    oracle's answer there); with the points each round queries, they are
-    the points `narrow_candidates` skips.  At most `policy.max_rounds`
-    rounds run: Stalled before a round beyond them would start.
+    `window` is each round's first window.  `agreed` lists the points S0 was
+    built from (every member predicts the oracle's answer there); with the
+    points each round queries, they are the points `narrow_candidates` skips.
+    At most `policy.max_rounds` rounds run: Stalled before a round beyond
+    them would start.
 
     At d = (p-1)/e = 1 every answer except the one at x = -s is 1, so no
     point rules out more than one candidate: resolve by x = -t directly.
@@ -272,7 +275,7 @@ def recover_from_candidates(
         while len(S) > 1:
             if rounds >= policy.max_rounds:
                 raise Stalled(f"no resolution within {policy.max_rounds} rounds")
-            S = narrow_candidates(oracle, S, policy, trace, agreed)
+            S = narrow_candidates(oracle, S, window, trace, agreed)
             rounds += 1
     # at d >= 2 at most one candidate is left: no call, Stalled if none
     return _resolve_small(oracle, S)
@@ -378,8 +381,8 @@ def recover_large_e(
     policy: ProbePolicy = ProbePolicy(),
     trace: list | None = None,
 ) -> int:
-    """Delegates to the small-e pipeline below e = p^0.9; otherwise scans
-    x = 1..m (`_seed_candidates`), then narrows with a wide window."""
+    """Delegates to the small-e pipeline below e = p^0.9; otherwise scans x =
+    1..m (`_seed_candidates`), then narrows from the window h = (p/e) sqrt(p) ln(p)^2."""
     p, e = oracle.ctx.p, oracle.params.e
     if e <= p**0.9:
         return recover_zero_call_narrow(oracle, policy, trace)
@@ -389,36 +392,33 @@ def recover_large_e(
     if trace is not None:
         trace.append(("scan", m, p, len(S)))
     h = int((p / e) * math.sqrt(p) * math.log(p) ** 2)
-    wide = replace(policy, initial_window=h)
-    return recover_from_candidates(oracle, S, wide, trace, points)
+    return recover_from_candidates(oracle, S, policy, trace, points, h)
 
 
-# Each algorithm's runner(oracle, policy, seed, trace).  A runner looks its
+# Each algorithm's runner(oracle, seed, trace).  A runner looks its
 # recover_* function up when it is called, so a wrapper installed on the
 # module attribute also sees the calls made by name.
 ALGORITHMS = {
-    "interpolation": lambda o, pol, seed, tr: interpolation_recover(o),
-    "zero_call_narrow": lambda o, pol, seed, tr: recover_zero_call_narrow(o, pol, tr),
-    "smooth_narrow": lambda o, pol, seed, tr: recover_smooth_narrow(o, pol, tr),
-    "randomized": lambda o, pol, seed, tr: recover_randomized(
+    "interpolation": lambda o, seed, tr: interpolation_recover(o),
+    "zero_call_narrow": lambda o, seed, tr: recover_zero_call_narrow(o, trace=tr),
+    "smooth_narrow": lambda o, seed, tr: recover_smooth_narrow(o, trace=tr),
+    "randomized": lambda o, seed, tr: recover_randomized(
         o, _seed_candidates(o, range(1)), seed, tr
     ),
-    "large_e": lambda o, pol, seed, tr: recover_large_e(o, pol, tr),
+    "large_e": lambda o, seed, tr: recover_large_e(o, trace=tr),
 }
 
 
 def recover(
     oracle: ShiftOracle,
     algorithm: str,
-    policy: ProbePolicy = ProbePolicy(),
     seed: int = 0,
     trace: list | None = None,
 ) -> int:
     """Recover the shift with the algorithm named `algorithm`, a key of
     ALGORITHMS; `seed` is read by `randomized` only, and `interpolation`
-    reads neither `policy` nor `trace`.  ConfigError for any other name;
-    ForbiddenInput (from the oracle) if a probe the algorithm picks is
-    forbidden."""
+    does not read `trace`.  ConfigError for any other name; ForbiddenInput
+    (from the oracle) if a probe the algorithm picks is forbidden."""
     if algorithm not in ALGORITHMS:
         raise ConfigError(f"unknown algorithm {algorithm!r}")
-    return ALGORITHMS[algorithm](oracle, policy, seed, trace)
+    return ALGORITHMS[algorithm](oracle, seed, trace)

@@ -72,19 +72,18 @@ def test_02_recovery_sound_for_every_shift():
     ):
         for p in primes_below(300):
             ctx = fc.make_context(p)
-            policy = sr.ProbePolicy(max_rounds=max(64, p))
             for e in divisors(p - 1):
                 params = fc.make_params(ctx, e)
                 worst = dict.fromkeys(DETERMINISTIC + (1, 2, 3), 0)
                 for s in range(p):
                     for algorithm in DETERMINISTIC:
                         o = new_oracle(ctx, params, s)
-                        assert sr.recover(o, algorithm, policy) == s, (algorithm, p, e, s)
+                        assert sr.recover(o, algorithm) == s, (algorithm, p, e, s)
                         assert o.calls <= e + 1, (algorithm, p, e, s, o.calls)
                         worst[algorithm] = max(worst[algorithm], o.calls)
                     for seed in (1, 2, 3):
                         o = new_oracle(ctx, params, s)
-                        got = sr.recover(o, "randomized", policy, seed=seed)
+                        got = sr.recover(o, "randomized", seed=seed)
                         assert got == s, (p, e, s, seed)
                         worst[seed] = max(worst[seed], o.calls)
                 bound = sr.calls_bound(p, params.d)

@@ -133,6 +133,9 @@ def test_hyperbola_anchors():
     assert bl.hyperbola_count(13, 0, 1, 3) == 1
     assert bl.hyperbola_count(13, 0, 1, 12) == 12
     assert bl.hyperbola_count(13, 1, 1, 12) == 11
+    # H = 10^5 * p: 12 nonzero residues of x, each with 10^5 x and 10^5 y,
+    # counted over p residues rather than H steps
+    assert bl.hyperbola_count(13, 0, 1, 13 * 10**5) == 12 * 10**10
     with pytest.raises(BadV):
         bl.hyperbola_count(13, 0, 13, 3)
 
@@ -140,6 +143,12 @@ def test_hyperbola_anchors():
 def test_hyperbola_full_box_identity():
     for p in (13, 29, 61):
         assert bl.hyperbola_count(p, 0, 1, p - 1) == p - 1
+    # at H = k*p every nonzero residue of x + u fixes one residue of y, and
+    # [1, H] holds each residue k times: k^2 (p - 1) solutions
+    for p in (3, 13, 101):
+        for u, v in ((0, 1), (1, p - 1), (p - 1, 2)):
+            for k in (1, 2, 7):
+                assert bl.hyperbola_count(p, u, v, k * p) == k * k * (p - 1), (p, u, v, k)
 
 
 def test_hyperbola_matches_naive_random():
@@ -160,7 +169,7 @@ def test_hyperbola_counts_every_y_past_p():
         ctx = fc.make_context(p)
         for u in range(p):
             for v in range(1, p):
-                for H in range(1, 2 * p + 3):
+                for H in range(1, 3 * p + 3):
                     want = naive_hyperbola(p, u, v, H)
                     assert bl.hyperbola_count(p, u, v, H) == want, (p, u, v, H)
                     assert bl.product_count_J(ctx, 2, v, u, H) == want, (p, u, v, H)
@@ -392,6 +401,33 @@ def test_product_tables_cap_their_entries():
             with pytest.raises(TooLarge, match="product-table entries above"):
                 bl.product_set_size(ctx, nu, 1, t, h)
     assert time.perf_counter() - start < 1.0
+
+
+def test_product_counters_check_h_to_the_nu_without_building_it(monkeypatch):
+    # h^nu steps: at h >= 2 a nu of LOOP_CAP's bit length already passes the
+    # cap, so a huge nu is refused at once and the message names h and nu,
+    # not the number h^nu.  At h = 1 the nu steps themselves are capped
+    ctx = fc.make_context(13)
+    start = time.perf_counter()
+    for counter in (
+        lambda nu, h: bl.product_count_J(ctx, nu, 3, 1, h),
+        lambda nu, h: bl.product_set_size(ctx, nu, 1, None, h),
+    ):
+        for nu, h in ((27, 2), (10**5, 10), (10**9, 1)):
+            with pytest.raises(TooLarge, match=f"^h={h} to the power nu={nu} above"):
+                counter(nu, h)
+        counter(26, 2)  # 2^26 <= 10^8
+    assert time.perf_counter() - start < 1.0
+
+    # the refused set stays exactly h^nu > LOOP_CAP, here with the cap at 50
+    monkeypatch.setattr(bl, "LOOP_CAP", 50)
+    for nu, h, ok in ((5, 2, True), (6, 2, False), (2, 7, True), (3, 7, False),
+                      (50, 1, True), (51, 1, False)):
+        if ok:
+            assert bl.product_set_size(ctx, nu, 1, None, h) >= 1
+        else:
+            with pytest.raises(TooLarge):
+                bl.product_set_size(ctx, nu, 1, None, h)
 
 
 # --- spaced_partition ---

@@ -141,6 +141,20 @@ def test_lab_inline_and_grid(tmp_path):
             {"p": 2**61 - 1, "nu": 2, "s": 0, "h": 10**4},
             id="product_set-table-above-the-entry-cap",
         ),
+        # h^nu with 100,001 digits: refused on nu alone, and the message
+        # names h and nu rather than formatting h^nu
+        pytest.param(
+            "product_J",
+            {"p": 13, "nu": 100000, "lam": 3, "s": 1, "h": 10},
+            id="product_J-h10-nu1e5",
+        ),
+        pytest.param(
+            "product_set", {"p": 13, "nu": 100000, "s": 1, "h": 10}, id="product_set-h10-nu1e5"
+        ),
+        # h = 1: h^nu = 1, but the table takes nu steps
+        pytest.param(
+            "product_set", {"p": 13, "nu": 10**9, "s": 1, "h": 1}, id="product_set-h1-nu1e9"
+        ),
     ],
 )
 def test_lab_cell_above_a_cap_is_a_skipped_row(tmp_path, lemma, cell):

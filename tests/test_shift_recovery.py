@@ -163,14 +163,14 @@ def test_narrow_candidates_pinned_cases():
     # and the answer there leaves one candidate
     o = make(13, 3, 5)
     trace = []
-    T = sr.narrow_candidates(o, (2, 5, 6), sr.ProbePolicy(), trace)
+    T = sr.narrow_candidates(o, (2, 5, 6), trace=trace)
     assert T == (5,)
     assert o.calls == 1
     assert trace == [("narrow", 1, 3, 1)]
 
     # x = 0 already splits (4, 5)
     o = make(13, 3, 5)
-    T = sr.narrow_candidates(o, (4, 5), sr.ProbePolicy())
+    T = sr.narrow_candidates(o, (4, 5))
     assert T == (5,)
     assert o.calls == 1
 
@@ -189,11 +189,10 @@ def test_narrowing_matches_the_statistic_reference():
     for p, e, points in cells:
         ctx = fc.make_context(p)
         params = fc.make_params(ctx, e)
-        policy = sr.ProbePolicy()
+        window = sr.INITIAL_WINDOW
         if points is None:
             points = range(1, sr.large_e_call_count(p, e) + 1)
             window = int((p / e) * p**0.5 * math.log(p) ** 2)
-            policy = sr.ProbePolicy(initial_window=window)
         for s in rng.sample(range(p), 3):
             S = sr._seed_candidates(new_oracle(ctx, params, s), points)
             # as in recover_from_candidates: the seed's points and each
@@ -201,8 +200,8 @@ def test_narrowing_matches_the_statistic_reference():
             agreed = set(points)
             while len(S) > 1:
                 o, trace = new_oracle(ctx, params, s), []
-                got = sr.narrow_candidates(o, S, policy, trace, agreed)
-                x, classes = greedy_round(p, e, S, policy.initial_window)
+                got = sr.narrow_candidates(o, S, window, trace, agreed)
+                x, classes = greedy_round(p, e, S, window)
                 assert trace == [("narrow", x, len(S), len(got))], (p, e, s)
                 assert got == classes[pow(s + x, e, p)]
                 assert o.calls == 1
@@ -279,7 +278,7 @@ def test_round_one_on_a_zero_call_seed_evaluates_one_probe_per_coset(monkeypatch
                 assert sr.recover(o, "zero_call_narrow", trace=trace) == s
                 first = [x for rnd, x in evaluated if rnd == 0]
                 assert first == firsts[: len(first)], (p, e, s)
-                window = sr.ProbePolicy().initial_window
+                window = sr.INITIAL_WINDOW
                 assert trace[0][1] == greedy_round(p, e, S0, window)[0], (p, e, s)
                 rounds += 1
     assert rounds > 300
@@ -323,7 +322,7 @@ def test_monotone_shrinkage_with_secret_retained():
                 S = sr.initial_candidates_zero_call(o, wits)
                 assert s in S
                 while len(S) > 1:
-                    T = sr.narrow_candidates(o, S, sr.ProbePolicy())
+                    T = sr.narrow_candidates(o, S)
                     assert len(T) < len(S)
                     assert unsafe_reveal_secret(o) in T
                     S = T
@@ -707,28 +706,56 @@ def test_large_e_at_d2_builds_no_power_table(no_power_table, p):
         assert sr.recover_large_e(make(p, e, s)) == s, (p, s)
 
 
-LARGE_E_CAP_SCRIPT = """
+def test_large_e_caps_its_first_window_at_loop_cap_over_S(monkeypatch):
+    # with LOOP_CAP patched down, large_e's first window of min(h, p - 1)
+    # points at |S| pows each passes it: the window is cut to LOOP_CAP // |S|
+    # points, and the round picks the full-scan greedy's point over that
+    # window instead of raising TooLarge
+    p, e = 1049, 524
+    monkeypatch.setattr(sr, "LOOP_CAP", 2000)
+    points = range(1, sr.large_e_call_count(p, e) + 1)
+    h = int((p / e) * p**0.5 * math.log(p) ** 2)
+    rounds = 0
+    for s in random.Random(p).sample(range(p), 8):
+        S = sr._seed_candidates(make(p, e, s), points)
+        if len(S) < 2:
+            continue
+        assert min(h, p - 1) * len(S) > sr.LOOP_CAP
+        o, trace = make(p, e, s), []
+        got = sr.narrow_candidates(o, S, h, trace, set(points))
+        x, classes = greedy_round(p, e, S, sr.LOOP_CAP // len(S))
+        assert trace == [("narrow", x, len(S), len(got))], s
+        assert got == classes[pow(s + x, e, p)]
+        assert o.calls == 1
+        rounds += 1
+    assert rounds >= 6
+
+
+LARGE_E_CAPPED_WALL_SCRIPT = """
+import random
 from shiftbreak import field_core as fc, shift_recovery as sr
-from shiftbreak.errors import TooLarge
 from shiftbreak.oracle import new_oracle
 
-ctx = fc.make_context(100003)
-o = new_oracle(ctx, fc.make_params(ctx, 50001), 12345)
-try:
-    sr.recover_large_e(o)
-except TooLarge:
+rng = random.Random(100003)
+cells = [(100003, 50001, rng.randrange(100003)) for _ in range(2)]
+for p, e, s in cells + [(85009, 42504, 12345)]:
+    ctx = fc.make_context(p)
+    o = new_oracle(ctx, fc.make_params(ctx, e), s)
+    assert sr.recover_large_e(o) == s, (p, s)
     print(o.calls)
 """
 
 
-def test_large_e_caps_its_first_window_at_d2():
-    # p = 100003, d = 2: the first window, h = (p/e) sqrt(p) ln(p)^2 points
-    # at |S| pows each, costs about 1.3e8 > LOOP_CAP, so TooLarge follows
-    # the m = 6 scan calls at once.  In a subprocess with a 60 s bound, so
-    # that a missing cap fails the test rather than scanning for minutes.
-    assert sr.large_e_call_count(100003, 50001) == 6
-    out = run_python(["-c", LARGE_E_CAP_SCRIPT], 60)
-    assert out.stdout == "6\n", out.stderr
+def test_large_e_recovers_past_its_first_window_cap_at_d2():
+    # p = 100003 and 85009 (s = 12345), d = 2: the paper's first window, h
+    # points at |S| pows each, passes LOOP_CAP, so it is cut to LOOP_CAP // |S|
+    # points and each recovery takes seconds.  In a subprocess with a 90 s
+    # bound, so that a round scanning its whole window each time fails the
+    # test rather than running for minutes.
+    out = run_python(["-c", LARGE_E_CAPPED_WALL_SCRIPT], 90)
+    assert out.returncode == 0, out.stderr
+    calls = [int(line) for line in out.stdout.split()]
+    assert len(calls) == 3 and max(calls) <= 17, calls
 
 
 LARGE_E_WALL_SCRIPT = """
