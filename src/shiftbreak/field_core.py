@@ -24,12 +24,14 @@ from .errors import NotDividing, NotPrime, Overflow, TooLarge
 
 MAX_P = 2**61
 # Largest e for the routines that walk G_e or make e + 1 queries: the e-th
-# root sets, the interpolation baseline, the longest coset run and the list
-# of G_e.  Also the largest d for the index table of the characters, the
-# largest p for the dense power table, and the entries of a lab product table.
+# root sets, the interpolation baseline, the longest coset run, the list of
+# G_e and the set of squares narrowing reads at d = 2.  Also the largest d
+# for the index table of the characters, the largest p for the dense power
+# table, and the entries of a lab product table.
 EXHAUSTIVE_CAP = 10**6
 # Largest number of steps for the loops whose cost is a stated product: the
-# lab's boxes, the exhaustive identity window and a narrowing window's pows.
+# lab's boxes, the exhaustive identity window and a narrowing window's
+# predictions.
 LOOP_CAP = 10**8
 # Contexts kept by make_context's cache: about 500 bytes each, 2 MB full.
 CONTEXT_CACHE = 4096

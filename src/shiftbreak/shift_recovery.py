@@ -24,7 +24,10 @@ class that holds the answer, and rounds repeat until one candidate is left.
 That is adaptive search with (d + 1)-ary answers, one call per round.  On a
 whole zero-call coset S = t0*G_e (the first round of zero-call narrowing)
 points x and x*w, w in G_e, give S the same classes, and a round evaluates
-only the first point of each coset of G_e.
+only the first point of each coset of G_e.  At d = 2 (the shifted Legendre
+symbol) a prediction is one lookup in the set of squares, not a pow.  At
+|S| = 1 (mod d) only a point x with -x in S can reach the least possible
+largest class, and a round skips the others once they cannot win.
 
 A trace is a plain list: ("narrow", x, size before, size after) per
 narrowing round, ("random", x, None, size after) per randomized draw, and
@@ -133,8 +136,27 @@ def initial_candidates_smooth(
 
 
 def _predictions(p: int, e: int, S, x: int) -> list[int]:
-    """The answer (t + x)^e each candidate t in S predicts at x."""
+    """The answer (t + x)^e each candidate t in S predicts at x.
+
+    At d = 2 and e <= EXHAUSTIVE_CAP the answer is read off the set of
+    squares G_e (`_squares`): 0 at t + x = 0, 1 on G_e and p - 1 off it, the
+    ints pow returns, at one set lookup instead of one pow per candidate.
+    The set costs O(e) once per (p, e), 66 MB at e = 10^6, the order of
+    an e-member seed.  Above the cap, and at every other d, one pow each.
+    """
+    if p - 1 == 2 * e and e <= EXHAUSTIVE_CAP:
+        squares = _squares(p, e)
+        return [
+            1 if (y := (t + x) % p) in squares else (p - 1 if y else 0) for t in S
+        ]
     return [pow(t + x, e, p) for t in S]
+
+
+@functools.lru_cache(maxsize=1)
+def _squares(p: int, e: int) -> frozenset[int]:
+    """G_e at d = 2: the e nonzero squares, y^2 for y = 1..e.  Only the last
+    set is cached."""
+    return frozenset(y * y % p for y in range(1, e + 1))
 
 
 def collision_stat_r(
@@ -177,10 +199,13 @@ def narrow_candidates(
     point splits S, and ties go to the smallest x.  An answer is 0 or one
     of the d-th roots of unity, and only t = -x predicts 0, so no class is
     below ceil((|S| - 1)/d): the scan stops at the first point reaching it.
-    A segment costs |S| pow calls per point.  The first window, `window`
-    points, is capped at p - 1 and LOOP_CAP // |S|; TooLarge before a doubled
-    segment whose bound passes LOOP_CAP.  Rounds scanning whole capped windows
-    cost minutes (large_e at p = 1000003, d = 2: 105-292 s a recovery).
+    When |S| = 1 (mod d), a point x with -x not in S has no zero class, so
+    its largest class is at least ceil(|S|/d), one above that least; once the
+    best point so far is within one of the least, such points are skipped at
+    one set lookup each.  An evaluated point costs |S| predictions
+    (`_predictions`: set lookups at d = 2, pow calls otherwise).  The first
+    window, `window` points, is capped at p - 1 and LOOP_CAP // |S|; TooLarge
+    before a doubled segment whose bound passes LOOP_CAP.
 
     `agreed` holds points at which every member of S is known to predict the
     same answer: such a point is one class and never splits S, so it is
@@ -203,6 +228,8 @@ def narrow_candidates(
         agreed = set()
     # 0 agreed and |S| = e: S = S*w for w in G_e
     cosets = set() if 0 in agreed and size == e else None
+    # |S| = 1 mod d: a point x with -x not in S has a class of least + 1 or more
+    members = frozenset(S) if (size - 1) % params.d == 0 else None
     scanned = 0
     best_val, best_x, best_keys = size, None, None
     while True:
@@ -210,6 +237,8 @@ def narrow_candidates(
             raise TooLarge(f"{h - scanned} probes on {size} candidates above loop cap")
         for x in range(scanned, h):
             if x in agreed:
+                continue
+            if members is not None and best_val <= least + 1 and -x % p not in members:
                 continue
             if cosets is not None:
                 key = pow(x, e, p)

@@ -210,6 +210,77 @@ def test_narrowing_matches_the_statistic_reference():
     assert rounds > 300
 
 
+def test_d2_predictions_read_off_the_squares_match_pow():
+    # every x and every t, so each x meets the zero class at t = -x
+    for p in primes_below(300):
+        e = (p - 1) // 2
+        for x in range(p):
+            got = sr._predictions(p, e, range(p), x)
+            assert got == [pow(t + x, e, p) for t in range(p)], (p, x)
+
+
+@pytest.fixture
+def evaluated(monkeypatch):
+    """The points narrowing evaluates, in order: `_predictions`' x."""
+    points = []
+    predictions = sr._predictions
+
+    def recording_predictions(p, e, S, x):
+        points.append(x)
+        return predictions(p, e, S, x)
+
+    monkeypatch.setattr(sr, "_predictions", recording_predictions)
+    return points
+
+
+def test_narrowing_at_d2_above_the_cap_stays_on_pow(monkeypatch, evaluated):
+    # e = (p-1)/2 > EXHAUSTIVE_CAP: no set of squares is built.  |S| = 5 is
+    # 1 mod 2 and least = 2: x = 0 has largest class 3, so x = 1 and 2 (-x
+    # not in S) are skipped, and x = 3 (-3 in S) reaches 2
+    p = 2**61 - 1
+    e = (p - 1) // 2
+
+    def no_squares(p, e):
+        raise AssertionError("set of squares built above the cap")
+
+    monkeypatch.setattr(sr, "_squares", no_squares)
+    S, s = (1, 2, 3, 11, p - 3), 11
+    o, trace = make(p, e, s), []
+    got = sr.narrow_candidates(o, S, trace=trace)
+    x, classes = greedy_round(p, e, S, sr.INITIAL_WINDOW)
+    assert x == 3 and evaluated == [0, 3]
+    assert trace == [("narrow", x, len(S), len(got))]
+    assert got == classes[pow(s + x, e, p)] and s in got
+    assert o.calls == 1
+
+
+def test_rounds_at_one_mod_d_match_the_statistic_reference(evaluated):
+    # |S| = 1 (mod d) at d = 2 and 3, windows up to p - 1: the round that
+    # skips the points with -x not in S picks the full-scan greedy's point
+    # and keeps its class, and the skip leaves points unevaluated
+    rng = random.Random(2)
+    rounds = skipped = 0
+    for p in (101, 109, 151, 199, 211, 331, 397):
+        for d in (2, 3):
+            if (p - 1) % d:
+                continue
+            e = (p - 1) // d
+            for window in (1, sr.INITIAL_WINDOW, 16, p // 2, p - 1):
+                for size in (d + 1, 2 * d + 1, 4 * d + 1, 8 * d + 1):
+                    S = tuple(sorted(rng.sample(range(p), size)))
+                    s = rng.choice(S)
+                    evaluated.clear()
+                    o, trace = make(p, e, s), []
+                    got = sr.narrow_candidates(o, S, window, trace)
+                    x, classes = greedy_round(p, e, S, window)
+                    assert trace == [("narrow", x, size, len(got))], (p, d, S)
+                    assert got == classes[pow(s + x, e, p)]
+                    assert o.calls == 1
+                    rounds += 1
+                    skipped += max(evaluated) + 1 - len(evaluated)
+    assert rounds > 200 and skipped > 1000
+
+
 def test_r_statistic_is_constant_on_cosets_of_G_e_over_a_zero_call_seed():
     # S0 = t0*G_e, and t -> t*w maps the predictions at x onto those at x*w:
     # the answer pairs of the r reference and the answer classes alike
@@ -589,7 +660,8 @@ def test_oracle_calls_match_table_era(algorithm, p):
 
 def _narrowing_runs(algorithm, p):
     """(recovered, calls, trace) per shift: every e and every s at p = 13,
-    29 and 61; at p = 293 and 397, e = (p-1)/2 and 20 shifts seeded by p."""
+    29 and 61; at p = 293, 397 and 1049, e = (p-1)/2 and 20 shifts seeded by
+    p.  `randomized` runs at seed 0."""
     if p < 100:
         cells = [(e, s) for e in divisors(p - 1) for s in range(p)]
     else:
@@ -622,6 +694,13 @@ NARROWING_TRACES = {
     ("large_e", 61): "e587231f0b727789",
     ("large_e", 293): "6f2b2dfdc052ac4c",
     ("large_e", 397): "48490333fdf64214",
+    ("randomized", 13): "fa3c2b707bdcdfae",
+    ("randomized", 29): "e4a3f28d0953f153",
+    ("randomized", 61): "5dc7392ed028dea2",
+    ("randomized", 293): "37e881fa3ee3f959",
+    ("randomized", 397): "bdf73f25d066cb14",
+    # the d = 2 scan path: wide windows over which the skip acts
+    ("large_e", 1049): "e346bde3490760d1",
 }
 
 
@@ -748,10 +827,10 @@ for p, e, s in cells + [(85009, 42504, 12345)]:
 
 def test_large_e_recovers_past_its_first_window_cap_at_d2():
     # p = 100003 and 85009 (s = 12345), d = 2: the paper's first window, h
-    # points at |S| pows each, passes LOOP_CAP, so it is cut to LOOP_CAP // |S|
-    # points and each recovery takes seconds.  In a subprocess with a 90 s
-    # bound, so that a round scanning its whole window each time fails the
-    # test rather than running for minutes.
+    # points at |S| predictions each, passes LOOP_CAP, so it is cut to
+    # LOOP_CAP // |S| points, and each recovery takes about 0.1 s.  In a
+    # subprocess with a 90 s bound, so that a round scanning its whole window
+    # each time fails the test rather than running for minutes.
     out = run_python(["-c", LARGE_E_CAPPED_WALL_SCRIPT], 90)
     assert out.returncode == 0, out.stderr
     calls = [int(line) for line in out.stdout.split()]
@@ -776,12 +855,38 @@ for s in [rng.randrange(10007) for _ in range(5)]:
 def test_large_e_recovers_within_a_wall_bound_at_d2():
     # p = 10007, d = 2: the scan leaves about 300 candidates, and each round
     # stops at the first point of its wide window whose largest answer class
-    # is the least possible, so 5 recoveries take about a second, not the
-    # minutes of a scan that evaluates the whole window
+    # is the least possible, so 5 recoveries take well under a second, not
+    # the minutes of a scan that evaluates the whole window
     out = run_python(["-c", LARGE_E_WALL_SCRIPT], 30)
     assert out.returncode == 0, out.stderr
     calls = [int(line) for line in out.stdout.split()]
     assert len(calls) == 5 and max(calls) <= 15, calls
+
+
+LARGE_E_MILLION_SCRIPT = """
+from shiftbreak import field_core as fc, shift_recovery as sr
+from shiftbreak.oracle import new_oracle
+
+ctx = fc.make_context(1000003)
+params = fc.make_params(ctx, 500001)
+for s in (12345, 777):
+    o, trace = new_oracle(ctx, params, s), []
+    assert sr.recover_large_e(o, trace=trace) == s
+    print(o.calls, *[x for kind, x, *_ in trace if kind == "narrow"])
+"""
+
+
+def test_large_e_recovers_within_a_wall_bound_at_p_1000003():
+    # d = 2: with predictions read off the set of squares and the points
+    # with -x not in S skipped, a recovery takes about 1.5 s, where rounds
+    # that evaluate their whole capped window at |S| pows a point take
+    # minutes.  In a subprocess under 1 GiB with a 60 s bound, so that such
+    # a round fails the test
+    out = run_python(["-c", LARGE_E_MILLION_SCRIPT], 60, address_space=2**30)
+    assert out.returncode == 0, out.stderr
+    runs = [[int(v) for v in line.split()] for line in out.stdout.splitlines()]
+    assert [run[0] for run in runs] == [19, 20]
+    assert {64372, 93727, 228170} <= set(runs[0][1:])
 
 
 def test_narrowing_skips_probes_every_candidate_agrees_on(monkeypatch):
